@@ -39,6 +39,7 @@ release is also safe against purely external adversaries.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import hmac
 import itertools
@@ -71,10 +72,14 @@ from .shard import AggregationTree, ShardPlan, aggregation_tree, plan_shards
 OcallExchange = Callable[[str, Dict[str, bytes]], Dict[str, bytes]]
 
 #: Width of the sliding pair window prefetched in one round before the LD
-#: walk starts: pair (i, j) is prefetched when j - i <= _LD_WINDOW.
+#: walk starts: pair (i, j) is prefetched when j - i <= _LD_WINDOW.  It is
+#: also the margin of the reference-predicted prefetch: a candidate the
+#: reference-only walk keeps alive at position p is prefetched against
+#: the next _LD_WINDOW + 1 SNPs from p on.
 _LD_WINDOW = 8
 #: Speculative pairs fetched per on-demand round when the walk needs a
-#: pair outside the prefetched window (a candidate outliving a block).
+#: pair the prefetch did not cover (a candidate outliving its block
+#: where the reference-only rehearsal did not predict it).
 _LD_LOOKAHEAD = 32
 
 _STAGES = ("prime", "double_prime", "safe")
@@ -90,6 +95,145 @@ _SHARD_COUNTER_ZERO = {
     "partial_bytes": 0,
     "peak_partial_bytes": 0,
 }
+
+
+def _unique_pairs(blocks: List[np.ndarray]) -> np.ndarray:
+    """Sorted union of ``(P, 2)`` pair arrays."""
+    if not blocks:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.unique(np.concatenate(blocks), axis=0)
+
+
+def _pairs_ahead(left: int, snps: List[int], start: int, count: int) -> np.ndarray:
+    """Pairs ``(left, snps[j])`` for ``j`` in ``[start, start + count)``."""
+    rights = np.asarray(snps[start : start + count], dtype=np.int64)
+    return np.stack((np.full_like(rights, left), rights), axis=1)
+
+
+def _five_moments(stats: np.ndarray) -> np.ndarray:
+    """Shard-tree ``(C, P, 3)`` sums as ``(P, C, 5)`` case moment rows.
+
+    The tree carries ``(mu_l, mu_r, mu_lr)``: for binary genotypes the
+    squared sums repeat the linear ones, so they are rebuilt here.
+    """
+    rows = np.empty((stats.shape[1], stats.shape[0], 5), dtype=np.int64)
+    rows[:, :, :3] = stats.transpose(1, 0, 2)
+    rows[:, :, 3:] = rows[:, :, :2]
+    return rows
+
+
+class _PairRows:
+    """Int64 rows keyed by SNP pair: append-only row blocks plus an index.
+
+    A pair ``(left, right)`` is keyed ``left * width + right``; the index
+    maps each key to a global row number.  Appending a block never copies
+    earlier ones, so one member round or shard fold costs one array, not
+    one object per pair.  A key added twice resolves to its latest row.
+    """
+
+    def __init__(self, width: int, row_shape: Tuple[int, ...]):
+        self._width = width
+        self._row_shape = row_shape
+        self._index: Dict[int, int] = {}
+        self._starts: List[int] = []
+        self._keys: List[np.ndarray] = []
+        self._values: List[np.ndarray] = []
+        self._size = 0
+
+    def _keys_of(self, pairs: np.ndarray) -> np.ndarray:
+        return pairs[:, 0] * self._width + pairs[:, 1]
+
+    def missing(self, pairs: np.ndarray) -> np.ndarray:
+        """The rows of the ``(P, 2)`` array ``pairs`` not stored yet."""
+        index = self._index
+        absent = np.fromiter(
+            (key not in index for key in self._keys_of(pairs).tolist()),
+            dtype=bool,
+            count=len(pairs),
+        )
+        return pairs[absent]
+
+    def add(self, pairs: np.ndarray, values: np.ndarray) -> None:
+        keys = self._keys_of(pairs)
+        if values.shape != (len(keys),) + self._row_shape:
+            raise ProtocolError("moment rows do not match their pairs")
+        if not len(keys):
+            return
+        self._index.update(
+            zip(keys.tolist(), range(self._size, self._size + len(keys)))
+        )
+        self._starts.append(self._size)
+        self._keys.append(keys)
+        self._values.append(values)
+        self._size += len(keys)
+
+    def row(self, left: int, right: int) -> Optional[np.ndarray]:
+        at = self._index.get(left * self._width + right)
+        if at is None:
+            return None
+        block = bisect.bisect_right(self._starts, at) - 1
+        return self._values[block][at - self._starts[block]]
+
+    def rows(self, pairs: np.ndarray) -> Optional[np.ndarray]:
+        """Rows of every pair in input order, or ``None`` if one is absent."""
+        at = [self._index.get(key) for key in self._keys_of(pairs).tolist()]
+        if None in at:
+            return None
+        return self.pack()["values"][np.asarray(at, dtype=np.int64)]
+
+    def pack(self) -> Dict[str, np.ndarray]:
+        if len(self._values) == 1:
+            return {"keys": self._keys[0], "values": self._values[0]}
+        if not self._values:
+            return {
+                "keys": np.zeros(0, dtype=np.int64),
+                "values": np.zeros((0,) + self._row_shape, dtype=np.int64),
+            }
+        return {
+            "keys": np.concatenate(self._keys),
+            "values": np.concatenate(self._values),
+        }
+
+    def unpack(self, packed: Dict[str, Any]) -> None:
+        keys = np.array(packed["keys"], dtype=np.int64)
+        values = np.array(packed["values"], dtype=np.int64)
+        pairs = np.stack((keys // self._width, keys % self._width), axis=1)
+        self.add(pairs, values.reshape((len(keys),) + self._row_shape))
+
+
+class _MomentStore:
+    """The leader's LD pair moments, held as int64 arrays.
+
+    ``case`` rows are ``(C, 5)``: one pooled case five-tuple per collusion
+    combination, summed from member replies with a membership-matrix
+    product (flat rounds) or installed by the shard tree.  ``reference``
+    rows are the reference panel's five-tuple.  A walk's pooled
+    :class:`~repro.stats.ld.PairMoments` is their sum, built only for the
+    pairs the walk consumes; the sums are exact integers, so decisions
+    match a per-pair object cache bit for bit.
+    """
+
+    def __init__(self, width: int, num_combos: int):
+        self.case = _PairRows(width, (num_combos, 5))
+        self.reference = _PairRows(width, (5,))
+
+    def pooled(
+        self, combo_index: int, left: int, right: int, count: int
+    ) -> Optional[ld.PairMoments]:
+        case = self.case.row(left, right)
+        reference = self.reference.row(left, right)
+        if case is None or reference is None:
+            return None
+        return ld.PairMoments(
+            *(case[combo_index] + reference).tolist(), count=count
+        )
+
+    def pack(self) -> Dict[str, Any]:
+        return {"case": self.case.pack(), "reference": self.reference.pack()}
+
+    def unpack(self, packed: Dict[str, Any]) -> None:
+        self.case.unpack(packed["case"])
+        self.reference.unpack(packed["reference"])
 
 
 class GenDPREnclave(Enclave):
@@ -120,11 +264,9 @@ class GenDPREnclave(Enclave):
         self._combo_counts: Dict[str, np.ndarray] = {}
         self._combo_sizes: Dict[str, int] = {}
         self._ranking_cache: Dict[str, np.ndarray] = {}
-        self._member_pair_moments: Dict[Tuple[str, int, int], ld.PairMoments] = {}
-        self._local_pair_moments: Dict[Tuple[int, int], ld.PairMoments] = {}
-        self._reference_pair_moments: Dict[Tuple[int, int], ld.PairMoments] = {}
-        #: Pairs whose moments are cached for every party (fast-path check).
-        self._ld_cached: set = set()
+        #: LD pair moments (pooled case per combination + reference);
+        #: sized by ``configure`` and dropped once the LD walks finish.
+        self._ld_moments: Optional[_MomentStore] = None
         # Plain (collusion-oblivious) track, kept alongside the tolerant
         # pipeline so Table 5 can report what collusion tolerance withheld.
         self._plain_retained: Dict[str, List[int]] = {}
@@ -156,13 +298,8 @@ class GenDPREnclave(Enclave):
         #: Leader ledger of leaf commitments, keyed (kind, shard, node);
         #: the integrity layer's verification re-run compares against it.
         self._shard_commitments: Dict[Tuple[str, int, str], bytes] = {}
-        self._ld_shard_buckets: Optional[Dict[int, List[Tuple[int, int]]]] = None
-        # Per-(combination, pair) pooled case moments installed by the
-        # tree aggregation (sharded runs); the flat path leaves it empty.
-        self._combo_pair_moments: Dict[Tuple[str, int, int], ld.PairMoments] = {}
+        self._ld_shard_buckets: Optional[Dict[int, np.ndarray]] = None
         self._shard_counters: Dict[str, int] = dict(_SHARD_COUNTER_ZERO)
-        # Memoized sliding-window pair lists keyed by the SNP list bytes.
-        self._window_pairs_cache: Dict[bytes, List[Tuple[int, int]]] = {}
         # Member-side record of leader broadcasts.
         self._received_retained: Dict[str, List[int]] = {}
         # Outbound payload audit trail (kind, peer, bytes, genotype_rows).
@@ -241,10 +378,9 @@ class GenDPREnclave(Enclave):
             "_data_signer",
             "_echo_signer",
             "_member_counts",
-            "_member_pair_moments",
+            "_ld_moments",
             "_rollback_counter",
             "_shard_accum",
-            "_combo_pair_moments",
         }
 
     # ------------------------------------------------------------------
@@ -347,10 +483,7 @@ class GenDPREnclave(Enclave):
         self._combo_counts = {}
         self._combo_sizes = {}
         self._ranking_cache = {}
-        self._member_pair_moments = {}
-        self._local_pair_moments = {}
-        self._reference_pair_moments = {}
-        self._ld_cached = set()
+        self._ld_moments = self._empty_moment_store()
         self._plain_retained = {}
         self._retained = {}
         self._combo_safe = {}
@@ -371,9 +504,7 @@ class GenDPREnclave(Enclave):
         self._shard_epoch = 0
         self._shard_commitments = {}
         self._ld_shard_buckets = None
-        self._combo_pair_moments = {}
         self._shard_counters = dict(_SHARD_COUNTER_ZERO)
-        self._window_pairs_cache = {}
 
     @staticmethod
     def _build_combinations(
@@ -398,6 +529,9 @@ class GenDPREnclave(Enclave):
         if self._study is None:
             raise PhaseOrderError("enclave is not configured")
         return self._study
+
+    def _empty_moment_store(self) -> _MomentStore:
+        return _MomentStore(self._config()["snp_count"], len(self._combos))
 
     @property
     def is_leader(self) -> bool:
@@ -460,17 +594,16 @@ class GenDPREnclave(Enclave):
             return reader.column_sums()
 
     def _local_moments(
-        self, store: SealedColumnStore, pairs: Sequence[Tuple[int, int]]
+        self, store: SealedColumnStore, pair_array: np.ndarray
     ) -> np.ndarray:
-        """Five correlation sums per requested pair (rows match input).
+        """Five correlation sums per row of the ``(P, 2)`` pair array.
 
         Vectorised: the unique columns are gathered once through the
         sealed store (one unseal per chunk), then all pair sums are
         computed as matrix reductions.
         """
-        if not pairs:
+        if not len(pair_array):
             return np.zeros((0, 5), dtype=np.int64)
-        pair_array = np.asarray(pairs, dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
         inverse = inverse.reshape(pair_array.shape)
         with ColumnReader(self, store) as reader:
@@ -522,8 +655,7 @@ class GenDPREnclave(Enclave):
         pair_array = np.asarray(request["pairs"], dtype=np.int64)
         if pair_array.ndim != 2 or pair_array.shape[1] != 2:
             raise ProtocolError("malformed LD pair request")
-        pairs = [(int(l), int(r)) for l, r in pair_array]
-        moments = self._local_moments(store, pairs)
+        moments = self._local_moments(store, pair_array)
         return self._protect(
             leader,
             "ld",
@@ -583,9 +715,12 @@ class GenDPREnclave(Enclave):
         stage = payload["stage"]
         if stage not in _STAGES:
             raise ProtocolError(f"unknown broadcast stage {stage!r}")  # lint: disable=R6 (stage names are protocol control-plane metadata)
-        snps = [int(s) for s in payload["snps"]]
+        snp_array = np.asarray(payload["snps"])
+        if snp_array.ndim != 1 or snp_array.dtype != np.int32:
+            raise ProtocolError("malformed retained-list broadcast")
+        snps = snp_array.tolist()
         self._received_retained[stage] = snps
-        self._broadcast_digests[stage] = self._broadcast_digest(stage, snps)
+        self._broadcast_digests[stage] = self._broadcast_digest(stage, snp_array)
         return {"stage": stage, "snps": snps}
 
     @ecall
@@ -755,8 +890,11 @@ class GenDPREnclave(Enclave):
                 member_snps = self._equivocation_adversary.mutate(
                     stage, member, snps
                 )
+            # 4 bytes per SNP on the wire: the paper's 4 * L accounting.
             frames[member] = self._protect(
-                member, "retained", {"stage": stage, "snps": list(member_snps)}
+                member,
+                "retained",
+                {"stage": stage, "snps": np.asarray(member_snps, dtype=np.int32)},
             )
         ocall("retained", frames)
 
@@ -832,9 +970,8 @@ class GenDPREnclave(Enclave):
                 pair_array.min() < 0 or pair_array.max() >= snp_count
             ):
                 raise ProtocolError("shard pair list references unknown SNPs")
-            normalized["pairs"] = [
-                (int(left), int(right)) for left, right in pair_array
-            ]
+            # Own the rows: the decoded array is a view over the frame.
+            normalized["pairs"] = np.array(pair_array)
         self._shard_tasks[normalized["task"]] = normalized
         self._shard_counters["tasks_accepted"] += 1
 
@@ -1023,30 +1160,21 @@ class GenDPREnclave(Enclave):
         self._shard_counters["partials_ingested"] += 1
         self._note_partial(accum["stats"], accum["counts"])
 
-    def _ld_shard_pair_buckets(self) -> Dict[int, List[Tuple[int, int]]]:
-        """The LD pair union partitioned by owning shard (cached)."""
+    def _ld_shard_pair_buckets(self) -> Dict[int, np.ndarray]:
+        """The LD window union partitioned by owning shard (cached).
+
+        Only the sliding windows travel through the tree; the predicted
+        pairs beyond them join ``lead_run_ld``'s single flat round.
+        """
         if self._ld_shard_buckets is None:
             plan = self._shard_plan_required()
-            if "prime" not in self._retained:
-                raise PhaseOrderError("MAF phase has not run")
-            union = dict.fromkeys(self._window_pairs(self._retained["prime"]))
-            if len(self._combos) > 1:
-                union.update(
-                    dict.fromkeys(
-                        self._window_pairs(self._plain_retained["prime"])
-                    )
-                )
-            buckets: Dict[int, List[Tuple[int, int]]] = {}
-            if union:
-                pairs = list(union)
-                starts = np.asarray(
-                    [r.start for r in plan.ranges], dtype=np.int64
-                )
-                lefts = np.asarray([p[0] for p in pairs], dtype=np.int64)
-                owners = np.searchsorted(starts, lefts, side="right") - 1
-                for pair, owner in zip(pairs, owners.tolist()):
-                    buckets.setdefault(int(owner), []).append(pair)
-            self._ld_shard_buckets = buckets
+            pairs = self._window_union(self._ld_lists())
+            starts = np.asarray([r.start for r in plan.ranges], dtype=np.int64)
+            owners = np.searchsorted(starts, pairs[:, 0], side="right") - 1
+            self._ld_shard_buckets = {
+                int(owner): pairs[owners == owner]
+                for owner in np.unique(owners).tolist()
+            }
         return self._ld_shard_buckets
 
     @ecall
@@ -1066,10 +1194,10 @@ class GenDPREnclave(Enclave):
             raise ProtocolError(f"shard index {shard_index} out of range")
         spec: Dict[str, Any] = {"kind": kind, "shard": int(shard_index)}
         if kind == "moments":
-            pairs = self._ld_shard_pair_buckets().get(int(shard_index), [])
-            if not pairs:
+            pairs = self._ld_shard_pair_buckets().get(int(shard_index))
+            if pairs is None:
                 return None
-            spec["pairs"] = np.asarray(pairs, dtype=np.int64)
+            spec["pairs"] = pairs
         self._lr_request_counter += 1
         task_id = f"shard-{kind}-{shard_index}-{self._lr_request_counter}"
         spec["task"] = task_id
@@ -1132,17 +1260,9 @@ class GenDPREnclave(Enclave):
                 )
         else:
             pairs = spec["pairs"]
-            cache = self._combo_pair_moments
             for index, (combo_id, _f, _members) in enumerate(self._combos):
-                size = int(counts[index])
-                self._check_combo_size(combo_id, size)
-                for pair, (mu_l, mu_r, mu_lr) in zip(
-                    pairs, stats[index].tolist()
-                ):
-                    cache[(combo_id, *pair)] = ld.PairMoments(
-                        mu_l, mu_r, mu_lr, mu_l, mu_r, count=size
-                    )
-            self._ld_cached.update(pairs)
+                self._check_combo_size(combo_id, int(counts[index]))
+            self._ld_moments.case.add(pairs, _five_moments(stats))
             self._ld_pairs_fetched += len(pairs)
             self._shard_moments_done.add(int(spec["shard"]))
         self._drop_shard_task(task_id)
@@ -1190,20 +1310,15 @@ class GenDPREnclave(Enclave):
                     mismatch = True
                     break
         else:
-            cache = self._combo_pair_moments
-            for index, (combo_id, _f, _members) in enumerate(self._combos):
-                size = int(counts[index])
-                for pair, (mu_l, mu_r, mu_lr) in zip(
-                    spec["pairs"], stats[index].tolist()
-                ):
-                    expected = ld.PairMoments(
-                        mu_l, mu_r, mu_lr, mu_l, mu_r, count=size
-                    )
-                    if cache.get((combo_id, *pair)) != expected:
-                        mismatch = True
-                        break
-                if mismatch:
-                    break
+            installed = self._ld_moments.case.rows(spec["pairs"])
+            mismatch = (
+                installed is None
+                or not np.array_equal(installed, _five_moments(stats))
+                or any(
+                    self._combo_sizes.get(combo_id) != int(counts[index])
+                    for index, (combo_id, _f, _m) in enumerate(self._combos)
+                )
+            )
         if mismatch:
             raise EquivocationError(  # lint: disable=R6 (shard labels are control-plane metadata)
                 "shard verification run diverged from the original fold "
@@ -1318,9 +1433,14 @@ class GenDPREnclave(Enclave):
 
     @staticmethod
     def _broadcast_digest(stage: str, snps: List[int]) -> bytes:
-        """Canonical digest of a broadcast payload (what the echo signs)."""
+        """Canonical digest of a broadcast payload (what the echo signs).
+
+        Both ends hash the payload as it travels, an int32 array.
+        """
         return hashlib.sha256(
-            serialization.encode({"stage": stage, "snps": snps})
+            serialization.encode(
+                {"stage": stage, "snps": np.asarray(snps, dtype=np.int32)}
+            )
         ).digest()
 
     @ecall
@@ -1477,55 +1597,78 @@ class GenDPREnclave(Enclave):
                 )
 
     # -- Phase 2: LD -----------------------------------------------------------
+    #
+    # Every walk runs the shared decision logic (``pipeline.ld_prune``)
+    # over pooled moments from ``self._ld_moments``.  Before the walks,
+    # one member round fetches the union of every walk's sliding window
+    # plus the pairs a reference-only rehearsal of the walk predicts
+    # beyond it, so the walks themselves rarely go back to the members.
 
-    def _reference_moments(
-        self, ref_reader: ColumnReader, pair: Tuple[int, int]
-    ) -> ld.PairMoments:
-        if pair not in self._reference_pair_moments:
-            self._reference_moments_batch(ref_reader, [pair])
-        return self._reference_pair_moments[pair]
+    def _ld_lists(self) -> List[List[int]]:
+        """The distinct SNP lists the LD walks traverse.
 
-    def _reference_moments_batch(
-        self, ref_reader: ColumnReader, pairs: Sequence[Tuple[int, int]]
+        Every combination walks the intersected list; with collusion
+        tolerance the plain track walks the un-intersected one as well.
+        """
+        if "prime" not in self._retained:
+            raise PhaseOrderError("MAF phase has not run")
+        lists = [self._retained["prime"]]
+        if len(self._combos) > 1 and self._plain_retained["prime"] != lists[0]:
+            lists.append(self._plain_retained["prime"])
+        return lists
+
+    @staticmethod
+    def _window_union(lists: List[List[int]]) -> np.ndarray:
+        """Sorted, de-duplicated sliding-window pairs of every list."""
+        windows = [
+            ld.window_pairs(snps, _LD_WINDOW) for snps in lists if len(snps) > 1
+        ]
+        return _unique_pairs(windows)
+
+    def _add_reference_moments(
+        self, pairs: np.ndarray, reference: Tuple[np.ndarray, np.ndarray]
     ) -> None:
-        """Fill the reference moment cache for many pairs at once."""
-        missing = [p for p in pairs if p not in self._reference_pair_moments]
-        if not missing:
-            return
-        pair_array = np.asarray(missing, dtype=np.int64)
-        unique_columns, inverse = np.unique(pair_array, return_inverse=True)
-        inverse = inverse.reshape(pair_array.shape)
-        gathered = ref_reader.columns(unique_columns.tolist())
-        moments = ld.pair_moments_kernel(gathered, inverse)
-        count = ref_reader.num_rows
-        cache = self._reference_pair_moments
-        for pair, row in zip(missing, moments.tolist()):
-            cache[pair] = ld.PairMoments(*row, count=count)
+        """Reference-panel moments for ``pairs`` not stored yet.
+
+        ``reference`` holds the sorted SNPs the LD lists touch and their
+        reference genotype columns, gathered once per ``lead_run_ld``.
+        """
+        missing = self._ld_moments.reference.missing(pairs)
+        if len(missing):
+            snps, columns = reference
+            self._ld_moments.reference.add(
+                missing,
+                ld.pair_moments_kernel(columns, np.searchsorted(snps, missing)),
+            )
 
     def _fetch_moments(
         self,
-        pairs: List[Tuple[int, int]],
+        pairs: np.ndarray,
         store: SealedColumnStore,
-        ref_reader: ColumnReader,
+        reference: Tuple[np.ndarray, np.ndarray],
         ocall: OcallExchange,
     ) -> None:
-        """One request/response round for pair moments not yet cached."""
-        members = self._other_members()
-        missing = [pair for pair in pairs if pair not in self._ld_cached]
+        """Store every party's moments for ``pairs``: one member round
+        for the pairs without case moments, none if all are stored."""
+        self._add_reference_moments(pairs, reference)
+        missing = self._ld_moments.case.missing(pairs)
         self._ld_pairs_fetched += len(missing)
-        if not missing:
+        if not len(missing):
             return
         self._lr_request_counter += 1
         request_id = f"ld-{self._lr_request_counter}"
-        payload = {
-            "req_id": request_id,
-            "pairs": np.asarray(missing, dtype=np.int64),
-        }
+        payload = {"req_id": request_id, "pairs": missing}
+        members = self._config()["member_ids"]
         requests = {
-            member: self._protect(member, "ld", payload) for member in members
+            member: self._protect(member, "ld", payload)
+            for member in self._other_members()
         }
         responses = ocall("ld", requests)
-        for member in members:
+        per_member = np.empty((len(members), len(missing), 5), dtype=np.int64)
+        for position, member in enumerate(members):
+            if member == self.enclave_id:
+                per_member[position] = self._local_moments(store, missing)
+                continue
             answer = self._open(member, "ld", responses[member])
             if answer["req_id"] != request_id:
                 raise ProtocolError(f"stale LD response from {member}")
@@ -1539,44 +1682,61 @@ class GenDPREnclave(Enclave):
                     f"LD moments from {member} are inconsistent with its "
                     f"declared population size"
                 )
-            member_cache = self._member_pair_moments
-            for pair, values in zip(missing, moments.tolist()):
-                member_cache[(member, *pair)] = ld.PairMoments(
-                    *values, count=size
-                )
-        local = self._local_moments(store, missing)
-        local_rows = store.num_rows
-        local_cache = self._local_pair_moments
-        for pair, values in zip(missing, local.tolist()):
-            local_cache[pair] = ld.PairMoments(*values, count=local_rows)
-        self._reference_moments_batch(ref_reader, missing)
-        self._ld_cached.update(missing)
+            per_member[position] = moments
+        membership = np.stack(
+            [self._combo_membership(member) for member in members], axis=1
+        )
+        self._ld_moments.case.add(
+            missing, np.einsum("cm,mpk->pck", membership, per_member)
+        )
 
-    def _combo_moments(
+    def _predicted_pairs(
         self,
-        combo_id: str,
-        combo_members: Tuple[str, ...],
-        pair: Tuple[int, int],
-        ref_reader: ColumnReader,
-    ) -> ld.PairMoments:
-        """Pooled moments of a pair for one combination (case + reference).
+        snps: List[int],
+        ranking: np.ndarray,
+        cutoff: float,
+        reference: Tuple[np.ndarray, np.ndarray],
+    ) -> np.ndarray:
+        """Pairs a walk over ``snps`` is likely to need beyond its window.
 
-        Sharded runs install the case-side pool per combination during
-        tree aggregation; the per-member sum below only runs for pairs
-        the tree prefetch did not cover (lookahead misses) and for the
-        flat (unsharded) path.
+        Rehearses the walk on the public reference panel alone, with the
+        study's ranking, and pairs every candidate that outlives its
+        predecessor at position ``p`` with ``snps[p .. p + _LD_WINDOW]``.
+        The rehearsal sees nothing the leader does not already hold.
         """
-        self._ld_pairs_requested += 1
-        total = self._reference_moments(ref_reader, pair)
-        pooled = self._combo_pair_moments.get((combo_id, *pair))
-        if pooled is not None:
-            return total + pooled
-        for member in combo_members:
-            if member == self.enclave_id:
-                total = total + self._local_pair_moments[pair]
-            else:
-                total = total + self._member_pair_moments[(member, *pair)]
-        return total
+        rows = self._ld_moments.reference
+        count = self._reference_rows
+        outlived: List[Tuple[int, int]] = []
+
+        def get_moments(left: int, right: int, position: int) -> ld.PairMoments:
+            if left != snps[position - 1]:
+                outlived.append((left, position))
+            row = rows.row(left, right)
+            if row is None:
+                self._add_reference_moments(
+                    _pairs_ahead(left, snps, position, _LD_WINDOW + 1),
+                    reference,
+                )
+                row = rows.row(left, right)
+            return ld.PairMoments(*row.tolist(), count=count)
+
+        pipeline.ld_prune(snps, ranking, get_moments, cutoff)
+        if not outlived:
+            return np.empty((0, 2), dtype=np.int64)
+        candidates, positions = np.asarray(outlived, dtype=np.int64).T
+        spans = np.minimum(_LD_WINDOW + 1, len(snps) - positions)
+        starts = np.cumsum(spans) - spans
+        offsets = np.arange(int(spans.sum()), dtype=np.int64) - np.repeat(
+            starts, spans
+        )
+        snp_array = np.asarray(snps, dtype=np.int64)
+        return np.stack(
+            (
+                np.repeat(candidates, spans),
+                snp_array[np.repeat(positions, spans) + offsets],
+            ),
+            axis=1,
+        )
 
     @ecall
     def lead_run_ld(
@@ -1587,128 +1747,92 @@ class GenDPREnclave(Enclave):
     ) -> List[int]:
         """Phase 2: greedy adjacent-pair LD pruning per combination."""
         self._require_leader()
-        if "prime" not in self._retained:
-            raise PhaseOrderError("MAF phase has not run")
-        config = self._config()
-        l_prime = self._retained["prime"]
-        cutoff = config["ld_cutoff"]
-        survivor_sets: List[set] = []
+        lists = self._ld_lists()
+        cutoff = self._config()["ld_cutoff"]
+        # The chi-squared ranking that breaks dependent pairs is the
+        # *study's* ranking (paper: getMostRanked(l, l+1, s)) — utility
+        # ordering is a property of the study, computed over the full
+        # federation, while the privacy decisions remain per-combination.
+        ranking = self._ranking("f0")
+        snps = np.unique(np.concatenate([np.asarray(s, np.int64) for s in lists]))
         with ColumnReader(self, ref_store) as ref_reader:
-            # One prefetch round covering the union of every walk's
-            # sliding window: all combinations traverse the intersected
-            # list and the plain track the un-intersected one, so after
-            # this round the per-walk window fetches below are fully
-            # cached and issue no further rounds (only rare lookahead
-            # misses still go to the members).
-            union_window = dict.fromkeys(self._window_pairs(l_prime))
-            if len(self._combos) > 1:
-                union_window.update(
-                    dict.fromkeys(
-                        self._window_pairs(self._plain_retained["prime"])
-                    )
-                )
+            reference = (snps, ref_reader.columns(snps.tolist()))
+        self.meter.register_buffer("ld-reference", reference[1].nbytes)
+        try:
+            window = self._window_union(lists)
+            self._add_reference_moments(window, reference)
+            predicted = [
+                self._predicted_pairs(snp_list, ranking, cutoff, reference)
+                for snp_list in lists
+                if len(snp_list) > 1
+            ]
             self._fetch_moments(
-                list(union_window), store, ref_reader, ocall
+                _unique_pairs([window] + predicted), store, reference, ocall
             )
-            for combo_id, _f, combo_members in self._combos:
-                survivor_sets.append(
-                    set(
-                        self._ld_greedy(
-                            combo_id,
-                            combo_members,
-                            l_prime,
-                            cutoff,
-                            store,
-                            ref_reader,
-                            ocall,
-                        )
+            survivor_sets = [
+                set(
+                    self._ld_greedy(
+                        index, lists[0], ranking, cutoff, store, reference, ocall
                     )
                 )
+                for index in range(len(self._combos))
+            ]
             if len(self._combos) > 1:
                 # Plain track: the f0 walk over the un-intersected list.
-                full_members = self._combos[0][2]
                 self._plain_retained["double_prime"] = self._ld_greedy(
-                    "f0",
-                    full_members,
+                    0,
                     self._plain_retained["prime"],
+                    ranking,
                     cutoff,
                     store,
-                    ref_reader,
+                    reference,
                     ocall,
                 )
+        finally:
+            self.meter.release_buffer("ld-reference")
+        # The walks are done: a re-run of this phase starts from a
+        # restored checkpoint, never from this store.
+        self._ld_moments = self._empty_moment_store()
         retained = sorted(set.intersection(*survivor_sets))
         self._retained["double_prime"] = retained
         if len(self._combos) == 1:
             self._plain_retained["double_prime"] = list(retained)
         return list(retained)
 
-    def _window_pairs(self, l_prime: List[int]) -> List[Tuple[int, int]]:
-        """The sliding-window pair list a greedy walk over ``l_prime`` uses.
-
-        Built by the vectorised :func:`repro.stats.ld.window_pairs`
-        kernel and memoized per SNP list: every combination walks the
-        same intersected list, so without the memo the same pair list
-        was rebuilt ``C(G, G-f)`` times per study.
-        """
-        key = np.asarray(l_prime, dtype=np.int64).tobytes()
-        pairs = self._window_pairs_cache.get(key)
-        if pairs is None:
-            if len(l_prime) < 2:
-                pairs = []
-            else:
-                arr = ld.window_pairs(l_prime, _LD_WINDOW)
-                pairs = list(zip(arr[:, 0].tolist(), arr[:, 1].tolist()))
-            self._window_pairs_cache[key] = pairs
-        return pairs
-
     def _ld_greedy(
         self,
-        combo_id: str,
-        combo_members: Tuple[str, ...],
+        combo_index: int,
         l_prime: List[int],
+        ranking: np.ndarray,
         cutoff: float,
         store: SealedColumnStore,
-        ref_reader: ColumnReader,
+        reference: Tuple[np.ndarray, np.ndarray],
         ocall: OcallExchange,
     ) -> List[int]:
         """Run the shared LD walk for one combination.
 
         The decision logic is :func:`repro.core.pipeline.ld_prune` —
         identical to the baselines'; only the moment *source* differs:
-        here, missing pair moments are fetched from member enclaves in
-        speculative batches (same decisions, fewer rounds than strictly
-        per-pair exchange).
+        pooled moments come from the store, and a pair the prefetch
+        missed is fetched with a speculative lookahead batch (same
+        decisions, fewer rounds than strictly per-pair exchange).
         """
-        if not l_prime:
-            return []
-        if len(l_prime) == 1:
-            return list(l_prime)
-        # The chi-squared ranking that breaks dependent pairs is the
-        # *study's* ranking (paper: getMostRanked(l, l+1, s)) — utility
-        # ordering is a property of the study, computed over the full
-        # federation, while the privacy decisions below remain
-        # per-combination.
-        ranking = self._ranking("f0")
-        # Prefetch a sliding window of pairs in a single round: the walk
-        # only ever compares SNPs whose positions are close unless one
-        # candidate outlives a whole LD block, so a small window covers
-        # almost every comparison and stragglers fall back to on-demand
-        # lookahead rounds below.  (When ``lead_run_ld`` already issued
-        # its union prefetch this finds everything cached and costs no
-        # round at all.)
-        self._fetch_moments(self._window_pairs(l_prime), store, ref_reader, ocall)
+        combo_id = self._combos[combo_index][0]
+        count = self._combo_sizes[combo_id] + self._reference_rows
+        moments = self._ld_moments
 
         def get_moments(left: int, right: int, position: int) -> ld.PairMoments:
-            pair = (left, right)
-            if pair not in self._ld_cached:
-                lookahead = [
-                    (left, l_prime[j])
-                    for j in range(
-                        position, min(position + _LD_LOOKAHEAD, len(l_prime))
-                    )
-                ]
-                self._fetch_moments(lookahead, store, ref_reader, ocall)
-            return self._combo_moments(combo_id, combo_members, pair, ref_reader)
+            self._ld_pairs_requested += 1
+            pooled = moments.pooled(combo_index, left, right, count)
+            if pooled is None:
+                self._fetch_moments(
+                    _pairs_ahead(left, l_prime, position, _LD_LOOKAHEAD),
+                    store,
+                    reference,
+                    ocall,
+                )
+                pooled = moments.pooled(combo_index, left, right, count)
+            return pooled
 
         return pipeline.ld_prune(l_prime, ranking, get_moments, cutoff)
 
@@ -2043,23 +2167,18 @@ class GenDPREnclave(Enclave):
     # keys die with the enclave and are re-agreed on recovery.
 
     def _checkpoint_payload(self) -> Dict[str, Any]:
-        # Sizes and counts are keyed independently: sharded studies
-        # collect declared sizes without per-member count vectors (the
-        # pooled counts arrive through the tree), so keying sizes off
-        # the counts dict would silently drop them from the blob.
+        # Every bulk field is an array, so encoding costs O(fields), not
+        # O(pairs + SNPs).  Sizes and counts are keyed independently:
+        # sharded studies collect declared sizes without per-member count
+        # vectors (the pooled counts arrive through the tree), so keying
+        # sizes off the counts dict would silently drop them from the blob.
         members = sorted(self._member_sizes)
         count_ids = sorted(self._member_counts)
-        moment_keys = sorted(self._member_pair_moments)
-        local_keys = sorted(self._local_pair_moments)
-        ref_keys = sorted(self._reference_pair_moments)
-        combo_moment_keys = sorted(self._combo_pair_moments)
+        combo_ids = sorted(self._combo_counts)
+        commitments = sorted(self._shard_commitments)
 
-        def pack_moments(keys, lookup):
-            rows = [
-                [m.mu_l, m.mu_r, m.mu_lr, m.mu_l2, m.mu_r2, m.count]
-                for m in (lookup[k] for k in keys)
-            ]
-            return np.asarray(rows, dtype=np.int64).reshape(len(keys), 6)
+        def snp_lists(lists: Dict[str, Sequence[int]]) -> Dict[str, np.ndarray]:
+            return {k: np.asarray(v, dtype=np.int64) for k, v in lists.items()}
 
         return {
             "study": self._study,
@@ -2069,40 +2188,20 @@ class GenDPREnclave(Enclave):
             "member_sizes": [self._member_sizes[m] for m in members],
             "reference_counts": self._reference_counts,
             "reference_rows": self._reference_rows,
-            "retained": {k: list(v) for k, v in self._retained.items()},
-            "plain_retained": {
-                k: list(v) for k, v in self._plain_retained.items()
-            },
-            "combo_ids": sorted(self._combo_counts),
-            "combo_counts": [
-                self._combo_counts[c] for c in sorted(self._combo_counts)
-            ],
-            "combo_sizes": [
-                self._combo_sizes[c] for c in sorted(self._combo_counts)
-            ],
-            "combo_safe": {
-                k: list(v) for k, v in sorted(self._combo_safe.items())
-            },
+            "retained": snp_lists(self._retained),
+            "plain_retained": snp_lists(self._plain_retained),
+            "combo_ids": combo_ids,
+            "combo_counts": [self._combo_counts[c] for c in combo_ids],
+            "combo_sizes": [self._combo_sizes[c] for c in combo_ids],
+            "combo_safe": snp_lists(self._combo_safe),
             "release_power": float(self._release_power),
-            "moment_keys": [list(k) for k in moment_keys],
-            "moment_values": pack_moments(moment_keys, self._member_pair_moments),
-            "local_keys": [list(k) for k in local_keys],
-            "local_values": pack_moments(local_keys, self._local_pair_moments),
-            "ref_keys": [list(k) for k in ref_keys],
-            "ref_values": pack_moments(ref_keys, self._reference_pair_moments),
-            "combo_moment_keys": [list(k) for k in combo_moment_keys],
-            "combo_moment_values": pack_moments(
-                combo_moment_keys, self._combo_pair_moments
-            ),
+            "ld_moments": self._ld_moments.pack(),
             "shard_counts_done": sorted(self._shard_counts_done),
             "shard_moments_done": sorted(self._shard_moments_done),
             "shard_epoch": int(self._shard_epoch),
-            "shard_commitment_keys": [
-                list(k) for k in sorted(self._shard_commitments)
-            ],
+            "shard_commitment_keys": [list(k) for k in commitments],
             "shard_commitment_values": [
-                self._shard_commitments[k]
-                for k in sorted(self._shard_commitments)
+                self._shard_commitments[k] for k in commitments
             ],
             "request_counter": self._lr_request_counter,
         }
@@ -2152,29 +2251,31 @@ class GenDPREnclave(Enclave):
         self._combos = self._build_combinations(
             self._study["member_ids"], list(self._study["f_values"])
         )
-        members = state["member_ids"]
-        count_ids = state.get("count_ids", members)
+        # np.array (not asarray) throughout: the decoder hands back
+        # read-only views that would pin the whole plaintext, and
+        # sharded count folds write into slices.
         self._member_counts = {
-            m: np.asarray(c, dtype=np.int64)
-            for m, c in zip(count_ids, state["member_counts"])
+            m: np.array(c, dtype=np.int64)
+            for m, c in zip(state["count_ids"], state["member_counts"])
         }
         self._member_sizes = {
-            m: int(s) for m, s in zip(members, state["member_sizes"])
+            m: int(s) for m, s in zip(state["member_ids"], state["member_sizes"])
         }
         self._reference_counts = (
             None
             if state["reference_counts"] is None
-            else np.asarray(state["reference_counts"], dtype=np.int64)
+            else np.array(state["reference_counts"], dtype=np.int64)
         )
         self._reference_rows = int(state["reference_rows"])
-        self._retained = {
-            k: [int(s) for s in v] for k, v in state["retained"].items()
-        }
-        self._plain_retained = {
-            k: [int(s) for s in v] for k, v in state["plain_retained"].items()
-        }
-        # np.array (not asarray): the decoder hands back read-only
-        # buffer views, and sharded count folds write into slices.
+
+        def snp_lists(lists: Dict[str, Any]) -> Dict[str, List[int]]:
+            return {
+                k: np.asarray(v, dtype=np.int64).tolist()
+                for k, v in lists.items()
+            }
+
+        self._retained = snp_lists(state["retained"])
+        self._plain_retained = snp_lists(state["plain_retained"])
         self._combo_counts = {
             c: np.array(v, dtype=np.int64)
             for c, v in zip(state["combo_ids"], state["combo_counts"])
@@ -2182,78 +2283,26 @@ class GenDPREnclave(Enclave):
         self._combo_sizes = {
             c: int(s) for c, s in zip(state["combo_ids"], state["combo_sizes"])
         }
-        # Post-LR collusion outcomes: present only in checkpoints taken
-        # after the LR phase (``get`` keeps older blobs restorable).
+        # Post-LR collusion outcomes: empty in checkpoints taken before
+        # the LR phase.
         self._combo_safe = {
-            k: tuple(int(s) for s in v)
-            for k, v in state.get("combo_safe", {}).items()
+            k: tuple(v) for k, v in snp_lists(state["combo_safe"]).items()
         }
-        self._release_power = float(state.get("release_power", 0.0))
+        self._release_power = float(state["release_power"])
         self._ranking_cache = {}
-
-        def unpack(keys, values, make_key):
-            values = np.asarray(values, dtype=np.int64).reshape(len(keys), 6)
-            return {
-                make_key(key): ld.PairMoments(*row[:5], count=row[5])
-                for key, row in zip(keys, values.tolist())
-            }
-
-        self._member_pair_moments = unpack(
-            state["moment_keys"],
-            state["moment_values"],
-            lambda k: (str(k[0]), int(k[1]), int(k[2])),
-        )
-        self._local_pair_moments = unpack(
-            state["local_keys"],
-            state["local_values"],
-            lambda k: (int(k[0]), int(k[1])),
-        )
-        self._reference_pair_moments = unpack(
-            state["ref_keys"],
-            state["ref_values"],
-            lambda k: (int(k[0]), int(k[1])),
-        )
-        self._combo_pair_moments = unpack(
-            state.get("combo_moment_keys", []),
-            state.get(
-                "combo_moment_values", np.zeros((0, 6), dtype=np.int64)
-            ),
-            lambda k: (str(k[0]), int(k[1]), int(k[2])),
-        )
-        counts_done = state.get("shard_counts_done", [])
-        # Older checkpoints carried an in-order completion count; newer
-        # ones carry the explicit shard-index list.
-        if isinstance(counts_done, int):
-            counts_done = range(counts_done)
-        self._shard_counts_done = {int(s) for s in counts_done}
-        self._shard_moments_done = {
-            int(s) for s in state.get("shard_moments_done", [])
-        }
+        self._ld_moments = self._empty_moment_store()
+        self._ld_moments.unpack(state["ld_moments"])
+        self._shard_counts_done = {int(s) for s in state["shard_counts_done"]}
+        self._shard_moments_done = {int(s) for s in state["shard_moments_done"]}
         # The repair epoch must land before the layout is re-derived so
         # a restored leader rebuilds the *repaired* plan and tree.
-        self._shard_epoch = int(state.get("shard_epoch", 0))
+        self._shard_epoch = int(state["shard_epoch"])
         self._shard_commitments = {
             (str(k[0]), int(k[1]), str(k[2])): bytes(v)
             for k, v in zip(
-                state.get("shard_commitment_keys", []),
-                state.get("shard_commitment_values", []),
+                state["shard_commitment_keys"],
+                state["shard_commitment_values"],
             )
         }
         self._build_shard_layout()
-        members_set = self._other_members()
-        self._ld_cached = {
-            pair
-            for pair in self._local_pair_moments
-            if all((m, *pair) in self._member_pair_moments for m in members_set)
-        }
-        # Pairs whose pooled moments the combine tree installed for every
-        # combination are fully served from the combo cache.
-        if self._combo_pair_moments:
-            combo_ids = {combo_id for combo_id, _f, _m in self._combos}
-            coverage: Dict[Tuple[int, int], set] = {}
-            for combo_id, left, right in self._combo_pair_moments:
-                coverage.setdefault((left, right), set()).add(combo_id)
-            self._ld_cached.update(
-                pair for pair, seen in coverage.items() if seen == combo_ids
-            )
         self._lr_request_counter = int(state["request_counter"])

@@ -100,9 +100,6 @@ class GenDPRProtocol:
             from .resilience import ResilientExchange
 
             self._resilient = ResilientExchange(self)
-            self._exchange = self._resilient
-        else:
-            self._exchange = self._ocall_exchange
         self._integrity = federation.config.integrity.enabled
 
     def shard_repair_accounting(self) -> Dict[str, int]:
@@ -137,6 +134,17 @@ class GenDPRProtocol:
         return self._federation
 
     # -- OCALL ---------------------------------------------------------------
+
+    @property
+    def _exchange(self):
+        """The OCALL the leader's phase ECALLs receive.
+
+        Resolved per use rather than stored: a stored bound method of
+        this protocol would make every protocol a reference cycle.
+        """
+        if self._resilient is not None:
+            return self._resilient
+        return self._ocall_exchange
 
     def _ocall_exchange(self, kind: str, frames: Dict[str, bytes]) -> Dict[str, bytes]:
         """Route leader frames to members and collect their answers.

@@ -69,9 +69,14 @@ class ProtocolSupervisor:
         # the checkpoint trail has per-task granularity and a failover
         # resumes from the last combine boundary, not the phase start.
         protocol._progress_checkpoint = self._seal_progress
-        steps = [("init", None)] + list(protocol.phase_steps())
-        for name, step in steps:
-            self._run_step(name, step, clock)
+        try:
+            steps = [("init", None)] + list(protocol.phase_steps())
+            for name, step in steps:
+                self._run_step(name, step, clock)
+        finally:
+            # The hook is a bound method of this supervisor, which holds
+            # the protocol: uninstall it so no cycle outlives the run.
+            protocol._progress_checkpoint = None
         protocol._supervision = self.stats()
         return protocol._build_result(timings)
 

@@ -105,28 +105,6 @@ class GenotypeMatrix:
             int((col_right * col_right).sum()),
         )
 
-    def pair_moments_batch(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Vectorised :meth:`pair_moments` for many pairs.
-
-        Returns an ``len(pairs) x 5`` int64 array, one row per pair in
-        input order.
-        """
-        if not pairs:
-            return np.zeros((0, 5), dtype=np.int64)
-        lefts = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        rights = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-        left_cols = self._data[:, lefts].astype(np.int64)
-        right_cols = self._data[:, rights].astype(np.int64)
-        out = np.empty((len(pairs), 5), dtype=np.int64)
-        out[:, 0] = left_cols.sum(axis=0)
-        out[:, 1] = right_cols.sum(axis=0)
-        out[:, 2] = (left_cols * right_cols).sum(axis=0)
-        out[:, 3] = out[:, 0]  # x^2 == x for binary genotypes
-        out[:, 4] = out[:, 1]
-        return out
-
     # -- Slicing ----------------------------------------------------------------
 
     def select_snps(self, snp_indices: Sequence[int]) -> "GenotypeMatrix":

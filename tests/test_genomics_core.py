@@ -120,14 +120,6 @@ class TestGenotypeMatrix:
         assert mu_lr == (data[:, 2] * data[:, 9]).sum()
         assert mu_l2 == mu_l and mu_r2 == mu_r  # binary data
 
-    def test_pair_moments_batch(self):
-        matrix = _matrix()
-        pairs = [(0, 1), (3, 7), (11, 2)]
-        batch = matrix.pair_moments_batch(pairs)
-        for row, (left, right) in enumerate(pairs):
-            assert tuple(batch[row]) == matrix.pair_moments(left, right)
-        assert matrix.pair_moments_batch([]).shape == (0, 5)
-
     def test_select_and_split(self):
         matrix = _matrix()
         selected = matrix.select_snps([1, 4])
