@@ -599,15 +599,15 @@ class GenDPREnclave(Enclave):
         """Five correlation sums per row of the ``(P, 2)`` pair array.
 
         Vectorised: the unique columns are gathered once through the
-        sealed store (one unseal per chunk), then all pair sums are
-        computed as matrix reductions.
+        sealed store as packed rows (one unseal per chunk), then all
+        pair sums are popcounts over those rows.
         """
         if not len(pair_array):
             return np.zeros((0, 5), dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
         inverse = inverse.reshape(pair_array.shape)
         with ColumnReader(self, store) as reader:
-            gathered = reader.columns(unique_columns.tolist())
+            gathered = reader.packed_columns(unique_columns.tolist())
         # One moment gather is in flight per enclave at a time (ECALLs
         # are synchronous), so a fixed name is unambiguous — and unlike
         # an id()-derived name it is identical across replayed runs.
@@ -1631,7 +1631,8 @@ class GenDPREnclave(Enclave):
         """Reference-panel moments for ``pairs`` not stored yet.
 
         ``reference`` holds the sorted SNPs the LD lists touch and their
-        reference genotype columns, gathered once per ``lead_run_ld``.
+        reference genotype columns as packed rows, gathered once per
+        ``lead_run_ld``.
         """
         missing = self._ld_moments.reference.missing(pairs)
         if len(missing):
@@ -1756,7 +1757,7 @@ class GenDPREnclave(Enclave):
         ranking = self._ranking("f0")
         snps = np.unique(np.concatenate([np.asarray(s, np.int64) for s in lists]))
         with ColumnReader(self, ref_store) as ref_reader:
-            reference = (snps, ref_reader.columns(snps.tolist()))
+            reference = (snps, ref_reader.packed_columns(snps.tolist()))
         self.meter.register_buffer("ld-reference", reference[1].nbytes)
         try:
             window = self._window_union(lists)

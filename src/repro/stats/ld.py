@@ -178,20 +178,26 @@ def window_pairs_scalar(snps: Sequence[int], window: int) -> np.ndarray:
 def pair_moments_kernel(
     gathered: np.ndarray, inverse: np.ndarray, *, batch: int = 4096
 ) -> np.ndarray:
-    """Five correlation sums per pair over *binary* genotype columns.
+    """Five correlation sums per pair over *packed* binary genotype columns.
 
     Args:
-        gathered: ``N x K`` matrix of the distinct genotype columns the
-            pairs touch (0/1 entries).
-        inverse: ``P x 2`` indices into ``gathered``'s columns, one row
+        gathered: ``K x ceil(N / 8)`` uint8 rows, one per distinct
+            genotype column the pairs touch, each the column's ``N``
+            0/1 genotypes packed by ``np.packbits`` with zero padding
+            (what :meth:`repro.tee.storage.ColumnReader.packed_columns`
+            returns).
+        inverse: ``P x 2`` indices into ``gathered``'s rows, one row
             per requested pair.
         batch: pairs per transient joint-count slab, bounding the
-            working set to ``N x batch``.
+            working set to ``batch x ceil(N / 8)`` bytes.
 
     Returns ``P x 5`` int64 rows ``(mu_l, mu_r, mu_lr, mu_l2, mu_r2)``.
-    For binary genotypes ``x^2 == x``, so the squared sums repeat the
-    linear ones — kept explicit because the wire format and the pooled
-    r² algebra carry all five.
+    Every sum is a popcount — of a column's row for ``mu_l``/``mu_r``
+    (only the rows some pair touches are counted), of the AND of both
+    rows for ``mu_lr`` — so the result is exact.  For binary genotypes
+    ``x^2 == x``, so the squared sums repeat the linear ones — kept
+    explicit because the wire format and the pooled r² algebra carry
+    all five.
     """
     index = np.asarray(inverse, dtype=np.int64)
     if index.ndim != 2 or index.shape[1] != 2:
@@ -200,22 +206,28 @@ def pair_moments_kernel(
     out = np.empty((num_pairs, 5), dtype=np.int64)
     if num_pairs == 0:
         return out
-    data = np.asarray(gathered)
-    column_sums = data.sum(axis=0, dtype=np.int64)
-    out[:, 0] = column_sums[index[:, 0]]
-    out[:, 1] = column_sums[index[:, 1]]
+    data = np.asarray(gathered, dtype=np.uint8)
+    touched = np.zeros(data.shape[0], dtype=bool)
+    touched[index.ravel()] = True
+    row_sums = np.zeros(data.shape[0], dtype=np.int64)
+    row_sums[touched] = np.bitwise_count(data[touched]).sum(axis=1, dtype=np.int64)
+    out[:, 0] = row_sums[index[:, 0]]
+    out[:, 1] = row_sums[index[:, 1]]
     for start in range(0, num_pairs, batch):
         stop = min(start + batch, num_pairs)
-        left = data[:, index[start:stop, 0]]
-        right = data[:, index[start:stop, 1]]
-        out[start:stop, 2] = (left & right).sum(axis=0, dtype=np.int64)
+        joint = data[index[start:stop, 0]] & data[index[start:stop, 1]]
+        out[start:stop, 2] = np.bitwise_count(joint).sum(axis=1, dtype=np.int64)
     out[:, 3] = out[:, 0]
     out[:, 4] = out[:, 1]
     return out
 
 
 def pair_moments_scalar(gathered: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Loop reference of :func:`pair_moments_kernel` (test oracle)."""
+    """Loop reference of :func:`pair_moments_kernel` (test oracle).
+
+    Takes the *unpacked* ``N x K`` 0/1 matrix whose columns
+    :func:`pair_moments_kernel` receives packed.
+    """
     data = np.asarray(gathered)
     index = np.asarray(inverse, dtype=np.int64)
     out = np.empty((index.shape[0], 5), dtype=np.int64)

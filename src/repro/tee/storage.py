@@ -1,4 +1,4 @@
-"""Sealed, chunked genotype storage.
+"""Sealed, chunked genotype storage at one bit per genotype.
 
 SGX enclaves have scarce protected memory (the paper discusses the
 128 MB EPC limit), so GenDPR keeps genome datasets *sealed outside* the
@@ -6,13 +6,21 @@ enclave and streams them through in bounded pieces; Table 3's ~2 MB
 enclave footprints are only possible because the enclave never holds a
 full genotype matrix.
 
-:class:`SealedColumnStore` reproduces that design: a genotype matrix is
-sealed into column-range chunks that live with the untrusted host, and
-the enclave unseals only the chunks a computation touches, registering
-the transient working set with its resource meter.  Each chunk is
-independently sealed with the chunk index bound as associated data, so
-the host can neither substitute, reorder, nor truncate chunks without
-detection.
+:class:`SealedColumnStore` reproduces that design: a binary genotype
+matrix is sealed into column-range chunks that live with the untrusted
+host, and the enclave unseals only the chunks a computation touches,
+registering the transient working set with its resource meter.  Each
+chunk is independently sealed with the chunk index bound as associated
+data, so the host can neither substitute, reorder, nor truncate chunks
+without detection.
+
+A chunk holds its columns *packed*: ``np.packbits`` turns each column's
+``N`` genotypes into one row of ``ceil(N / 8)`` bytes (big-endian bit
+order, zero padding), so a chunk of ``w`` columns is a ``(w, ceil(N / 8))``
+uint8 array.  :meth:`ColumnReader.packed_columns` hands those rows to
+the popcount LD kernel (:func:`repro.stats.ld.pair_moments_kernel`)
+as they are; :meth:`ColumnReader.columns` unpacks them into the usual
+``N x k`` matrix for the LR statistic and the baselines.
 """
 
 from __future__ import annotations
@@ -28,6 +36,11 @@ from .sealing import SealedBlob, seal, unseal
 
 #: Target plaintext bytes per sealed chunk.
 DEFAULT_CHUNK_BYTES = 256 * 1024
+
+
+def packed_row_bytes(num_rows: int) -> int:
+    """Bytes of one packed column: ``num_rows`` genotypes at one bit each."""
+    return (num_rows + 7) // 8
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,11 @@ class SealedColumnStore:
             )
 
     @property
+    def row_bytes(self) -> int:
+        """Bytes of one packed column in a chunk's plaintext."""
+        return packed_row_bytes(self.num_rows)
+
+    @property
     def sealed_bytes(self) -> int:
         return sum(len(chunk) for chunk in self.chunks)
 
@@ -58,10 +76,10 @@ class SealedColumnStore:
 
 
 def chunk_width_for(num_rows: int, target_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
-    """Columns per chunk so one chunk is roughly ``target_bytes``."""
+    """Columns per chunk so one packed chunk is roughly ``target_bytes``."""
     if num_rows <= 0:
         raise SealingError("num_rows must be positive")
-    return max(1, target_bytes // num_rows)
+    return max(1, target_bytes // packed_row_bytes(num_rows))
 
 
 def seal_matrix(
@@ -71,21 +89,25 @@ def seal_matrix(
     *,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> SealedColumnStore:
-    """Seal ``matrix`` (uint8, row-major) into a column-chunked store.
+    """Seal a binary ``N x L`` ``matrix`` into a packed column-chunked store.
 
     Runs inside the enclave that will later read the store; the sealing
     key binds the chunks to this enclave's measurement and platform.
+    Values other than 0 and 1 are rejected: packing would silently turn
+    a 2 into a 1.
     """
-    data = np.ascontiguousarray(matrix, dtype=np.uint8)
+    data = np.asarray(matrix, dtype=np.uint8)
     if data.ndim != 2:
         raise SealingError("only 2-D matrices can be sealed")
+    if data.max(initial=0) > 1:
+        raise SealingError("only binary (0/1) genotype matrices can be sealed")
     num_rows, num_cols = data.shape
     width = chunk_width_for(num_rows, chunk_bytes)
     chunks: List[SealedBlob] = []
     for start in range(0, num_cols, width):
-        piece = np.ascontiguousarray(data[:, start : start + width])
+        packed = np.packbits(data[:, start : start + width].T, axis=1)
         chunk_label = f"{label}/chunk-{start // width}"
-        chunks.append(seal(enclave, piece.tobytes(), chunk_label))
+        chunks.append(seal(enclave, packed.tobytes(), chunk_label))
     return SealedColumnStore(
         num_rows=num_rows,
         num_cols=num_cols,
@@ -121,6 +143,7 @@ class ColumnReader:
         return f"reader/{self._store.label}/chunk-{chunk_index}"
 
     def _load_chunk(self, chunk_index: int) -> np.ndarray:
+        """The packed ``(width, row_bytes)`` rows of one chunk."""
         if chunk_index in self._cache:
             return self._cache[chunk_index]
         while len(self._cache) >= self._max_cached:
@@ -138,13 +161,22 @@ class ColumnReader:
         start = chunk_index * self._store.chunk_width
         width = min(self._store.chunk_width, self._store.num_cols - start)
         chunk = np.frombuffer(raw, dtype=np.uint8).reshape(
-            self._store.num_rows, width
+            width, self._store.row_bytes
         )
         self._cache[chunk_index] = chunk
         self._enclave.meter.register_buffer(
             self._buffer_name(chunk_index), chunk.nbytes
         )
         return chunk
+
+    def _unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The ``N x k`` uint8 genotype matrix of ``k`` packed rows.
+
+        C-contiguous, like the matrix that was sealed: the LR kernels'
+        floating-point reductions must see the same memory order.
+        """
+        unpacked = np.unpackbits(packed, axis=1, count=self._store.num_rows)
+        return np.ascontiguousarray(unpacked.T)
 
     @property
     def num_rows(self) -> int:
@@ -155,21 +187,21 @@ class ColumnReader:
         return self._store.num_cols
 
     def column(self, index: int) -> np.ndarray:
-        """One column as a read-only uint8 vector."""
+        """One column as a uint8 vector."""
         chunk_index = self._store.chunk_of_column(index)
         chunk = self._load_chunk(chunk_index)
         offset = index - chunk_index * self._store.chunk_width
-        return chunk[:, offset]
+        return np.unpackbits(chunk[offset], count=self._store.num_rows)
 
-    def columns(self, indices: Sequence[int]) -> np.ndarray:
-        """Gather several columns into an ``N x len(indices)`` matrix.
+    def packed_columns(self, indices: Sequence[int]) -> np.ndarray:
+        """Gather several columns as ``len(indices) x ceil(N / 8)`` packed rows.
 
         Chunks are visited in sorted order so each is unsealed once per
         call even when indices interleave chunk boundaries; the copy out
         of each chunk is a single fancy-index operation.
         """
         index_array = np.asarray(list(indices), dtype=np.int64)
-        out = np.empty((self._store.num_rows, index_array.size), dtype=np.uint8)
+        out = np.empty((index_array.size, self._store.row_bytes), dtype=np.uint8)
         if index_array.size == 0:
             return out
         if index_array.min() < 0 or index_array.max() >= self._store.num_cols:
@@ -179,14 +211,18 @@ class ColumnReader:
             chunk = self._load_chunk(int(chunk_index))
             mask = chunk_ids == chunk_index
             offsets = index_array[mask] - int(chunk_index) * self._store.chunk_width
-            out[:, np.nonzero(mask)[0]] = chunk[:, offsets]
+            out[mask] = chunk[offsets]
         return out
 
+    def columns(self, indices: Sequence[int]) -> np.ndarray:
+        """Gather several columns into an ``N x len(indices)`` uint8 matrix."""
+        return self._unpack(self.packed_columns(indices))
+
     def iter_chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Stream (start_column, chunk) pairs across the whole store."""
+        """Stream (start_column, ``N x width`` chunk) pairs across the store."""
         for chunk_index in range(len(self._store.chunks)):
             start = chunk_index * self._store.chunk_width
-            yield start, self._load_chunk(chunk_index)
+            yield start, self._unpack(self._load_chunk(chunk_index))
 
     def column_sums(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Minor-allele counts per column over ``[start, stop)``.
@@ -194,7 +230,8 @@ class ColumnReader:
         Streamed chunk by chunk, so the transient trusted working set is
         one chunk regardless of the range width — this is what keeps a
         shard enclave's leaf computation O(chunk) even for wide shards.
-        The default range covers the whole store.
+        Each count is the popcount of a packed row (the padding bits are
+        zero).  The default range covers the whole store.
         """
         if stop is None:
             stop = self._store.num_cols
@@ -211,10 +248,10 @@ class ColumnReader:
             chunk = self._load_chunk(chunk_index)
             chunk_start = chunk_index * width
             lo = max(start, chunk_start)
-            hi = min(stop, chunk_start + chunk.shape[1])
-            sums[lo - start : hi - start] = chunk[
-                :, lo - chunk_start : hi - chunk_start
-            ].sum(axis=0, dtype=np.int64)
+            hi = min(stop, chunk_start + chunk.shape[0])
+            sums[lo - start : hi - start] = np.bitwise_count(
+                chunk[lo - chunk_start : hi - chunk_start]
+            ).sum(axis=1, dtype=np.int64)
         return sums
 
     def close(self) -> None:

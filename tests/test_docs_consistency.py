@@ -22,7 +22,7 @@ def repo_files():
 class TestDocsExist:
     @pytest.mark.parametrize(
         "name",
-        ["README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGELOG.md",
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGES.md",
          "LICENSE", "docs/PROTOCOL.md"],
     )
     def test_required_documents_present(self, name):

@@ -172,6 +172,33 @@ class TestReportSchema:
         assert report["declassifications"] == []
 
 
+class TestShippedModel:
+    """The embedded default model over the real sealed-store reader."""
+
+    STORAGE = (
+        pathlib.Path(__file__).resolve().parent.parent
+        / "src" / "repro" / "tee" / "storage.py"
+    )
+
+    def test_packed_gather_leak_is_reported(self, tmp_path):
+        leaky = tmp_path / "leaky.py"
+        leaky.write_text(
+            "from repro.tee.storage import ColumnReader\n"
+            "\n"
+            "\n"
+            "def dump(enclave, store):\n"
+            "    with ColumnReader(enclave, store) as reader:\n"
+            "        packed = reader.packed_columns([0, 1])\n"
+            "    print(packed)\n",
+            encoding="utf-8",
+        )
+        result = run_lint([leaky, self.STORAGE], LintConfig().with_flow(True))
+        (leak,) = [f for f in result.findings if f.rule == "R6"]
+        assert (pathlib.Path(leak.path).name, leak.line) == ("leaky.py", 7)
+        assert "genotype" in leak.message
+        assert "stdout" in leak.message
+
+
 class TestMarkersAndModel:
     def test_orphan_marker_is_inventoried(self, tmp_path):
         stale = tmp_path / "stale.py"

@@ -133,6 +133,9 @@ class TestTaintedColumnReader:
             assert isinstance(col, TaintedArray)
             assert taint_of(col) == {"genotype", "sealed"}
             np.testing.assert_array_equal(np.asarray(col), data[:, 3])
+            packed = reader.packed_columns([3, 5])
+            assert isinstance(packed, TaintedArray)
+            assert taint_of(packed) == {"genotype", "sealed"}
             sums = reader.column_sums()
             assert taint_of(sums) == {"genotype", "sealed"}
             for _start, chunk in reader.iter_chunks():

@@ -22,6 +22,11 @@ def _random_genotypes(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return (rng.random((rows, cols)) < frequencies).astype(np.int8)
 
 
+def _packed(genotypes: np.ndarray) -> np.ndarray:
+    """Columns of an ``N x K`` 0/1 matrix as the kernel's packed rows."""
+    return np.packbits(genotypes.T, axis=1)
+
+
 class TestWindowPairs:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("window", [1, 3, 25])
@@ -60,29 +65,42 @@ class TestPairMomentsKernel:
         rng = np.random.default_rng(seed)
         gathered = _random_genotypes(rng, rows=120, cols=18)
         inverse = rng.integers(0, 18, size=(200, 2))
-        fast = ld.pair_moments_kernel(gathered, inverse)
+        fast = ld.pair_moments_kernel(_packed(gathered), inverse)
         slow = ld.pair_moments_scalar(gathered, inverse)
         assert fast.dtype == np.int64
+        assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("rows", [1, 7, 9, 13, 63, 65])
+    @pytest.mark.parametrize("num_pairs", [0, 1, 40])
+    def test_partial_last_byte(self, rows, num_pairs):
+        """N % 8 != 0: the zero padding bits never count."""
+        rng = np.random.default_rng(rows * 100 + num_pairs)
+        gathered = _random_genotypes(rng, rows=rows, cols=9)
+        gathered[:, 0] = 1  # every bit of the column set, padding excluded
+        inverse = rng.integers(0, 9, size=(num_pairs, 2))
+        fast = ld.pair_moments_kernel(_packed(gathered), inverse)
+        slow = ld.pair_moments_scalar(gathered, inverse)
+        assert fast.shape == (num_pairs, 5)
         assert np.array_equal(fast, slow)
 
     def test_batching_does_not_change_results(self):
         rng = np.random.default_rng(13)
         gathered = _random_genotypes(rng, rows=80, cols=10)
         inverse = rng.integers(0, 10, size=(37, 2))
-        whole = ld.pair_moments_kernel(gathered, inverse, batch=4096)
-        tiny = ld.pair_moments_kernel(gathered, inverse, batch=3)
+        whole = ld.pair_moments_kernel(_packed(gathered), inverse, batch=4096)
+        tiny = ld.pair_moments_kernel(_packed(gathered), inverse, batch=3)
         assert np.array_equal(whole, tiny)
 
     def test_binary_square_sums_repeat_linear(self):
         rng = np.random.default_rng(3)
         gathered = _random_genotypes(rng, rows=50, cols=6)
         inverse = rng.integers(0, 6, size=(20, 2))
-        out = ld.pair_moments_kernel(gathered, inverse)
+        out = ld.pair_moments_kernel(_packed(gathered), inverse)
         assert np.array_equal(out[:, 3], out[:, 0])
         assert np.array_equal(out[:, 4], out[:, 1])
 
     def test_empty_pair_list(self):
-        gathered = np.zeros((10, 4), dtype=np.int8)
+        gathered = _packed(np.zeros((10, 4), dtype=np.int8))
         out = ld.pair_moments_kernel(gathered, np.empty((0, 2), dtype=np.int64))
         assert out.shape == (0, 5)
 
@@ -91,7 +109,7 @@ class TestPairMomentsKernel:
         rng = np.random.default_rng(11)
         gathered = _random_genotypes(rng, rows=150, cols=8)
         inverse = np.asarray([(0, 1), (2, 5), (3, 3)], dtype=np.int64)
-        rows = ld.pair_moments_kernel(gathered, inverse)
+        rows = ld.pair_moments_kernel(_packed(gathered), inverse)
         for (left, right), row in zip(inverse.tolist(), rows):
             moments = ld.PairMoments(*row.tolist(), count=gathered.shape[0])
             direct = ld.r_squared_direct(gathered[:, left], gathered[:, right])
