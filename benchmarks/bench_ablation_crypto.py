@@ -4,7 +4,7 @@ DESIGN.md substitutes a Philox-stream AEAD for hardware AES on bulk
 payloads so that cryptography stays off the critical path, as it is in
 the paper's AES-NI enclaves.  This ablation measures both schemes on
 the three payload sizes the protocol actually moves — an allele-count
-vector, an LD moment batch, and a member LR-matrix — demonstrating that
+vector, an LD joint-count batch, and a member LR-matrix — demonstrating that
 the pure-Python reference AES would dominate the running time (and
 thereby justifying the substitution).
 """
@@ -18,7 +18,7 @@ from repro.crypto import AesCtrHmacAead, StreamAead
 
 PAYLOADS = [
     ("counts vector (10k SNPs)", 4 * 10_000),
-    ("LD moment batch", 40 * 2_048),
+    ("LD joint-count batch", 4 * 2_048),
     ("LR matrix (2,123 x 187)", 8 * 2_123 * 187),
 ]
 

@@ -362,6 +362,7 @@ class CentralizedVerifier:
             timings=timings,
             network_bytes=totals.wire_bytes,
             network_messages=totals.messages,
+            network_bytes_by_kind=dict(sorted(totals.bytes_by_tag.items())),
             enclave_peak_memory={
                 _CENTER_ID: self.center.meter.report().peak_memory_bytes
             },

@@ -20,9 +20,10 @@ Data flow per phase (paper Sections 5.3-5.5):
 * **Phase 1 (MAF)** — leader-local: aggregate counts, filter on folded
   global MAF, intersect across collusion combinations.
 * **Phase 2 (LD)** — leader walks adjacent pairs of the retained list,
-  requesting the five correlation sums per pair from every member,
-  aggregating them with its own and the reference set's, and keeping
-  the better chi-squared-ranked SNP of each dependent pair.
+  requesting each pair's joint allele count from every member (the
+  other correlation sums are allele counts it holds from the
+  summaries), aggregating them with its own and the reference set's,
+  and keeping the better chi-squared-ranked SNP of each dependent pair.
 * **Phase 3 (LR-test)** — leader broadcasts the global case/reference
   frequency vectors, members return local LR matrices, the leader
   merges them with its own and the reference matrix and runs the
@@ -110,16 +111,17 @@ def _pairs_ahead(left: int, snps: List[int], start: int, count: int) -> np.ndarr
     return np.stack((np.full_like(rights, left), rights), axis=1)
 
 
-def _five_moments(stats: np.ndarray) -> np.ndarray:
-    """Shard-tree ``(C, P, 3)`` sums as ``(P, C, 5)`` case moment rows.
+def _binary_moments(
+    totals: List[int], left: int, right: int, joint: int, count: int
+) -> ld.PairMoments:
+    """Pooled moments of a pair from its pooled joint count.
 
-    The tree carries ``(mu_l, mu_r, mu_lr)``: for binary genotypes the
-    squared sums repeat the linear ones, so they are rebuilt here.
+    For binary genotypes ``mu_l``/``mu_r`` are the columns' pooled
+    allele counts ``totals`` and the squared sums repeat them, so the
+    joint count is the only per-pair sum.
     """
-    rows = np.empty((stats.shape[1], stats.shape[0], 5), dtype=np.int64)
-    rows[:, :, :3] = stats.transpose(1, 0, 2)
-    rows[:, :, 3:] = rows[:, :, :2]
-    return rows
+    mu_l, mu_r = totals[left], totals[right]
+    return ld.PairMoments(mu_l, mu_r, joint, mu_l, mu_r, count=count)
 
 
 class _PairRows:
@@ -141,6 +143,9 @@ class _PairRows:
         self._size = 0
 
     def _keys_of(self, pairs: np.ndarray) -> np.ndarray:
+        # Widen first: int32 wire pairs overflow ``left * width`` from
+        # width 46,341 on.
+        pairs = pairs.astype(np.int64, copy=False)
         return pairs[:, 0] * self._width + pairs[:, 1]
 
     def missing(self, pairs: np.ndarray) -> np.ndarray:
@@ -202,31 +207,38 @@ class _PairRows:
 
 
 class _MomentStore:
-    """The leader's LD pair moments, held as int64 arrays.
+    """The leader's LD pair joint counts, held as int64 arrays.
 
-    ``case`` rows are ``(C, 5)``: one pooled case five-tuple per collusion
+    ``case`` rows are ``(C,)``: one pooled case joint count per collusion
     combination, summed from member replies with a membership-matrix
     product (flat rounds) or installed by the shard tree.  ``reference``
-    rows are the reference panel's five-tuple.  A walk's pooled
-    :class:`~repro.stats.ld.PairMoments` is their sum, built only for the
-    pairs the walk consumes; the sums are exact integers, so decisions
+    rows are the reference panel's scalar joint count.  A walk's pooled
+    :class:`~repro.stats.ld.PairMoments` adds the combination's and the
+    reference's Phase-0 allele counts as marginals, built only for the
+    pairs the walk consumes; every sum is an exact integer, so decisions
     match a per-pair object cache bit for bit.
     """
 
     def __init__(self, width: int, num_combos: int):
-        self.case = _PairRows(width, (num_combos, 5))
-        self.reference = _PairRows(width, (5,))
+        self.case = _PairRows(width, (num_combos,))
+        self.reference = _PairRows(width, ())
 
     def pooled(
-        self, combo_index: int, left: int, right: int, count: int
+        self,
+        combo_index: int,
+        left: int,
+        right: int,
+        totals: List[int],
+        count: int,
     ) -> Optional[ld.PairMoments]:
+        """Pooled moments of one pair; ``totals`` are the combination's
+        case plus reference allele counts per SNP."""
         case = self.case.row(left, right)
         reference = self.reference.row(left, right)
         if case is None or reference is None:
             return None
-        return ld.PairMoments(
-            *(case[combo_index] + reference).tolist(), count=count
-        )
+        joint = int(case[combo_index] + reference)
+        return _binary_moments(totals, left, right, joint, count)
 
     def pack(self) -> Dict[str, Any]:
         return {"case": self.case.pack(), "reference": self.reference.pack()}
@@ -593,17 +605,17 @@ class GenDPREnclave(Enclave):
         with ColumnReader(self, store) as reader:
             return reader.column_sums()
 
-    def _local_moments(
+    def _local_joint_counts(
         self, store: SealedColumnStore, pair_array: np.ndarray
     ) -> np.ndarray:
-        """Five correlation sums per row of the ``(P, 2)`` pair array.
+        """Joint allele count ``mu_lr`` per row of the ``(P, 2)`` pair array.
 
         Vectorised: the unique columns are gathered once through the
         sealed store as packed rows (one unseal per chunk), then all
-        pair sums are popcounts over those rows.
+        joint counts are popcounts over those rows.
         """
         if not len(pair_array):
-            return np.zeros((0, 5), dtype=np.int64)
+            return np.zeros(0, dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
         inverse = inverse.reshape(pair_array.shape)
         with ColumnReader(self, store) as reader:
@@ -649,17 +661,23 @@ class GenDPREnclave(Enclave):
 
     @ecall
     def answer_ld(self, store: SealedColumnStore, frame: bytes) -> bytes:
-        """Compute local correlation sums for the requested SNP pairs."""
+        """Local joint counts ``mu_lr`` for the requested SNP pairs.
+
+        The other four correlation sums of a pair are this member's
+        allele counts, which the leader holds from the summaries.
+        """
         leader = self._config()["leader_id"]
         request = self._open(leader, "ld", frame)
         pair_array = np.asarray(request["pairs"], dtype=np.int64)
         if pair_array.ndim != 2 or pair_array.shape[1] != 2:
             raise ProtocolError("malformed LD pair request")
-        moments = self._local_moments(store, pair_array)
+        joint = self._local_joint_counts(store, pair_array)
+        # 32-bit on the wire, like the summary counts: bounded by the
+        # local population size.
         return self._protect(
             leader,
             "ld",
-            {"req_id": request["req_id"], "moments": moments},
+            {"req_id": request["req_id"], "joint": joint.astype(np.int32)},
         )
 
     @ecall
@@ -940,11 +958,10 @@ class GenDPREnclave(Enclave):
         if spec["kind"] == "counts":
             shard = self._shard_plan_required().ranges[spec["shard"]]
             return (num_combos, shard.width)
-        # Moments travel as (mu_l, mu_r, mu_lr): binary genotypes make
-        # the squared sums duplicate the linear ones, so the wire and
-        # the combine accumulators carry 3 of the 5 columns and the
-        # leader reconstructs the full five-tuple at fold time.
-        return (num_combos, len(spec["pairs"]), 3)
+        # Moments travel as the joint count mu_lr alone: the other four
+        # sums are allele counts the counts tree already delivered, and
+        # the leader rebuilds them from its Phase-0 state at walk time.
+        return (num_combos, len(spec["pairs"]), 1)
 
     def _install_shard_task(self, spec: Dict[str, Any]) -> None:
         task_id = spec["task"]
@@ -1006,8 +1023,8 @@ class GenDPREnclave(Enclave):
                 local = reader.column_sums(shard.start, shard.stop)
             stats = membership[:, None] * local[None, :]
         else:
-            local = self._local_moments(store, spec["pairs"])[:, :3]
-            stats = membership[:, None, None] * local[None, :, :]
+            local = self._local_joint_counts(store, spec["pairs"])
+            stats = membership[:, None, None] * local[None, :, None]
         if self._shard_adversary is not None:
             stats = np.asarray(
                 self._shard_adversary.mutate(
@@ -1197,7 +1214,9 @@ class GenDPREnclave(Enclave):
             pairs = self._ld_shard_pair_buckets().get(int(shard_index))
             if pairs is None:
                 return None
-            spec["pairs"] = pairs
+            # 4 bytes per SNP index on the wire, like the broadcasts;
+            # every receiver widens before key arithmetic.
+            spec["pairs"] = pairs.astype(np.int32)
         self._lr_request_counter += 1
         task_id = f"shard-{kind}-{shard_index}-{self._lr_request_counter}"
         spec["task"] = task_id
@@ -1262,7 +1281,7 @@ class GenDPREnclave(Enclave):
             pairs = spec["pairs"]
             for index, (combo_id, _f, _members) in enumerate(self._combos):
                 self._check_combo_size(combo_id, int(counts[index]))
-            self._ld_moments.case.add(pairs, _five_moments(stats))
+            self._ld_moments.case.add(pairs, stats[:, :, 0].T)
             self._ld_pairs_fetched += len(pairs)
             self._shard_moments_done.add(int(spec["shard"]))
         self._drop_shard_task(task_id)
@@ -1313,7 +1332,7 @@ class GenDPREnclave(Enclave):
             installed = self._ld_moments.case.rows(spec["pairs"])
             mismatch = (
                 installed is None
-                or not np.array_equal(installed, _five_moments(stats))
+                or not np.array_equal(installed, stats[:, :, 0].T)
                 or any(
                     self._combo_sizes.get(combo_id) != int(counts[index])
                     for index, (combo_id, _f, _m) in enumerate(self._combos)
@@ -1628,7 +1647,7 @@ class GenDPREnclave(Enclave):
     def _add_reference_moments(
         self, pairs: np.ndarray, reference: Tuple[np.ndarray, np.ndarray]
     ) -> None:
-        """Reference-panel moments for ``pairs`` not stored yet.
+        """Reference-panel joint counts for ``pairs`` not stored yet.
 
         ``reference`` holds the sorted SNPs the LD lists touch and their
         reference genotype columns as packed rows, gathered once per
@@ -1649,8 +1668,12 @@ class GenDPREnclave(Enclave):
         reference: Tuple[np.ndarray, np.ndarray],
         ocall: OcallExchange,
     ) -> None:
-        """Store every party's moments for ``pairs``: one member round
-        for the pairs without case moments, none if all are stored."""
+        """Store every party's joint counts for ``pairs``: one member
+        round for the pairs without case counts, none if all are stored.
+
+        Members answer with one int32 joint count per pair; the leader
+        holds their allele counts from the summaries already.
+        """
         self._add_reference_moments(pairs, reference)
         missing = self._ld_moments.case.missing(pairs)
         self._ld_pairs_fetched += len(missing)
@@ -1658,38 +1681,37 @@ class GenDPREnclave(Enclave):
             return
         self._lr_request_counter += 1
         request_id = f"ld-{self._lr_request_counter}"
-        payload = {"req_id": request_id, "pairs": missing}
+        # 4 bytes per SNP index on the wire, like the broadcasts.
+        payload = {"req_id": request_id, "pairs": missing.astype(np.int32)}
         members = self._config()["member_ids"]
         requests = {
             member: self._protect(member, "ld", payload)
             for member in self._other_members()
         }
         responses = ocall("ld", requests)
-        per_member = np.empty((len(members), len(missing), 5), dtype=np.int64)
+        per_member = np.empty((len(members), len(missing)), dtype=np.int64)
         for position, member in enumerate(members):
             if member == self.enclave_id:
-                per_member[position] = self._local_moments(store, missing)
+                per_member[position] = self._local_joint_counts(store, missing)
                 continue
             answer = self._open(member, "ld", responses[member])
             if answer["req_id"] != request_id:
                 raise ProtocolError(f"stale LD response from {member}")
-            moments = np.asarray(answer["moments"], dtype=np.int64)
-            if moments.shape != (len(missing), 5):
+            joint = np.asarray(answer["joint"])
+            if joint.shape != (len(missing),) or joint.dtype != np.int32:
                 raise ProtocolError(f"malformed LD response from {member}")
             size = self._member_sizes[member]
             # Untrusted peer input: validate the whole batch vectorised.
-            if moments.min(initial=0) < 0 or moments.max(initial=0) > size:
+            if joint.min(initial=0) < 0 or joint.max(initial=0) > size:
                 raise ProtocolError(
-                    f"LD moments from {member} are inconsistent with its "
-                    f"declared population size"
+                    f"LD joint counts from {member} are inconsistent with "
+                    f"its declared population size"
                 )
-            per_member[position] = moments
+            per_member[position] = joint
         membership = np.stack(
             [self._combo_membership(member) for member in members], axis=1
         )
-        self._ld_moments.case.add(
-            missing, np.einsum("cm,mpk->pck", membership, per_member)
-        )
+        self._ld_moments.case.add(missing, (membership @ per_member).T)
 
     def _predicted_pairs(
         self,
@@ -1707,6 +1729,7 @@ class GenDPREnclave(Enclave):
         """
         rows = self._ld_moments.reference
         count = self._reference_rows
+        totals = self._reference_counts.tolist()
         outlived: List[Tuple[int, int]] = []
 
         def get_moments(left: int, right: int, position: int) -> ld.PairMoments:
@@ -1719,7 +1742,7 @@ class GenDPREnclave(Enclave):
                     reference,
                 )
                 row = rows.row(left, right)
-            return ld.PairMoments(*row.tolist(), count=count)
+            return _binary_moments(totals, left, right, int(row), count)
 
         pipeline.ld_prune(snps, ranking, get_moments, cutoff)
         if not outlived:
@@ -1820,11 +1843,12 @@ class GenDPREnclave(Enclave):
         """
         combo_id = self._combos[combo_index][0]
         count = self._combo_sizes[combo_id] + self._reference_rows
+        totals = (self._combo_counts[combo_id] + self._reference_counts).tolist()
         moments = self._ld_moments
 
         def get_moments(left: int, right: int, position: int) -> ld.PairMoments:
             self._ld_pairs_requested += 1
-            pooled = moments.pooled(combo_index, left, right, count)
+            pooled = moments.pooled(combo_index, left, right, totals, count)
             if pooled is None:
                 self._fetch_moments(
                     _pairs_ahead(left, l_prime, position, _LD_LOOKAHEAD),
@@ -1832,7 +1856,7 @@ class GenDPREnclave(Enclave):
                     reference,
                     ocall,
                 )
-                pooled = moments.pooled(combo_index, left, right, count)
+                pooled = moments.pooled(combo_index, left, right, totals, count)
             return pooled
 
         return pipeline.ld_prune(l_prime, ranking, get_moments, cutoff)

@@ -62,6 +62,8 @@ class StudyResult:
     #: Wire bytes sent between sites over the whole run.
     network_bytes: int = 0
     network_messages: int = 0
+    #: ``network_bytes`` split by message kind (envelope tag, e.g. ``ld``).
+    network_bytes_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Peak trusted memory per enclave id (bytes).
     enclave_peak_memory: Dict[str, int] = field(default_factory=dict)
     #: CPU utilisation per enclave id (fraction of elapsed wall time).

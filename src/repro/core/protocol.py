@@ -1221,6 +1221,7 @@ class GenDPRProtocol:
             timings=timings,
             network_bytes=totals.wire_bytes,
             network_messages=totals.messages,
+            network_bytes_by_kind=dict(sorted(totals.bytes_by_tag.items())),
             enclave_peak_memory={
                 gdo: report.peak_memory_bytes for gdo, report in reports.items()
             },

@@ -88,23 +88,6 @@ class GenotypeMatrix:
         data = self._data if snp_indices is None else self._data[:, snp_indices]
         return data.sum(axis=0, dtype=np.int64)
 
-    def pair_moments(self, left: int, right: int) -> Tuple[int, int, int, int, int]:
-        """The five correlation sums GenDPR's Phase 2 exchanges for a pair.
-
-        Returns ``(mu_l, mu_r, mu_lr, mu_l2, mu_r2)`` — for binary data
-        ``mu_l2 == mu_l``, but all five are produced (and transmitted)
-        exactly as in the paper's protocol.
-        """
-        col_left = self._data[:, left].astype(np.int64)
-        col_right = self._data[:, right].astype(np.int64)
-        return (
-            int(col_left.sum()),
-            int(col_right.sum()),
-            int((col_left * col_right).sum()),
-            int((col_left * col_left).sum()),
-            int((col_right * col_right).sum()),
-        )
-
     # -- Slicing ----------------------------------------------------------------
 
     def select_snps(self, snp_indices: Sequence[int]) -> "GenotypeMatrix":

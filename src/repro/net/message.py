@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Dict
 
 _COUNTER = itertools.count()
 
@@ -42,11 +43,17 @@ class LinkStats:
     messages: int = 0
     payload_bytes: int = 0
     wire_bytes: int = 0
+    #: ``wire_bytes`` split by envelope tag (the protocol message kind).
+    bytes_by_tag: Dict[str, int] = field(default_factory=dict)
 
     def record(self, envelope: Envelope) -> None:
+        size = envelope.size()
         self.messages += 1
         self.payload_bytes += len(envelope.body)
-        self.wire_bytes += envelope.size()
+        self.wire_bytes += size
+        self.bytes_by_tag[envelope.tag] = (
+            self.bytes_by_tag.get(envelope.tag, 0) + size
+        )
 
     def merge(self, other: "LinkStats") -> "LinkStats":
         """Fold another link's totals into this one; returns ``self``.
@@ -58,4 +65,6 @@ class LinkStats:
         self.messages += other.messages
         self.payload_bytes += other.payload_bytes
         self.wire_bytes += other.wire_bytes
+        for tag, size in other.bytes_by_tag.items():
+            self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0) + size
         return self

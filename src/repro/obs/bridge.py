@@ -47,7 +47,9 @@ def record_network(registry: MetricsRegistry, network) -> None:
 
     Aggregation goes through :meth:`LinkStats.merge` — the same path
     ``SimulatedNetwork.total_stats`` uses — so the bridge can never
-    drift from the network's own arithmetic.
+    drift from the network's own arithmetic.  ``net.wire_bytes.<kind>``
+    splits the wire bytes by envelope tag (request and reply of a round
+    share the round's kind).
     """
     from ..net.message import LinkStats  # function-level: avoids import cycle
 
@@ -58,6 +60,8 @@ def record_network(registry: MetricsRegistry, network) -> None:
         per_link.observe(stats.wire_bytes)
     registry.counter("net.messages").inc(total.messages)
     registry.counter("net.wire_bytes").inc(total.wire_bytes)
+    for tag, size in sorted(total.bytes_by_tag.items()):
+        registry.counter(f"net.wire_bytes.{metric_slug(tag)}").inc(size)
     registry.counter("net.payload_bytes").inc(total.payload_bytes)
     registry.gauge("net.links").set(len(network.links()))
     registry.gauge("net.sim_time_s").set(network.simulated_time)

@@ -1,12 +1,14 @@
 """Linkage disequilibrium from pooled correlation moments (Phase 2).
 
-The paper computes the r-squared correlation between a SNP pair from the
-five sums each member outsources — mu_l, mu_r, mu_lr, mu_l2, mu_r2 —
-plus the pooled population size N_T.  These are ordinary second-moment
-sums, so the leader can add members' contributions and the reference
-set's and obtain exactly the statistics of the pooled population,
-without ever pooling genotypes.  That is the crux of GenDPR's Phase 2
-correction over the naive scheme.
+The paper computes the r-squared correlation between a SNP pair from
+five sums — mu_l, mu_r, mu_lr, mu_l2, mu_r2 — plus the pooled
+population size N_T.  These are ordinary second-moment sums, so the
+leader can add members' contributions and the reference set's and
+obtain exactly the statistics of the pooled population, without ever
+pooling genotypes.  That is the crux of GenDPR's Phase 2 correction
+over the naive scheme.  For binary genotypes four of the five are
+per-SNP allele counts the leader already holds from the summaries, so
+members only send the joint count mu_lr (:func:`pair_moments_kernel`).
 
 Significance: under independence, ``N_T * r^2`` is asymptotically
 chi-squared with 1 dof; a p-value *below* the LD cut-off marks the pair
@@ -26,7 +28,7 @@ from ..errors import GenomicsError
 
 @dataclass(frozen=True)
 class PairMoments:
-    """The correlation sums exchanged for one SNP pair.
+    """The correlation sums of one SNP pair.
 
     All fields are plain sums over one population's individuals, so
     moments from disjoint populations combine by field-wise addition.
@@ -178,7 +180,7 @@ def window_pairs_scalar(snps: Sequence[int], window: int) -> np.ndarray:
 def pair_moments_kernel(
     gathered: np.ndarray, inverse: np.ndarray, *, batch: int = 4096
 ) -> np.ndarray:
-    """Five correlation sums per pair over *packed* binary genotype columns.
+    """Joint count ``mu_lr`` per pair over *packed* binary genotype columns.
 
     Args:
         gathered: ``K x ceil(N / 8)`` uint8 rows, one per distinct
@@ -191,42 +193,32 @@ def pair_moments_kernel(
         batch: pairs per transient joint-count slab, bounding the
             working set to ``batch x ceil(N / 8)`` bytes.
 
-    Returns ``P x 5`` int64 rows ``(mu_l, mu_r, mu_lr, mu_l2, mu_r2)``.
-    Every sum is a popcount — of a column's row for ``mu_l``/``mu_r``
-    (only the rows some pair touches are counted), of the AND of both
-    rows for ``mu_lr`` — so the result is exact.  For binary genotypes
-    ``x^2 == x``, so the squared sums repeat the linear ones — kept
-    explicit because the wire format and the pooled r² algebra carry
-    all five.
+    Returns the ``(P,)`` int64 popcounts of the AND of both rows, so
+    the result is exact.  The other four correlation sums are column
+    popcounts — for binary genotypes ``x^2 == x``, so ``mu_l2 == mu_l``
+    and ``mu_r2 == mu_r`` — which the leader already holds as Phase-0
+    allele counts; only the joint count is new per pair.
     """
     index = np.asarray(inverse, dtype=np.int64)
     if index.ndim != 2 or index.shape[1] != 2:
         raise GenomicsError("pair index array must have shape (P, 2)")
     num_pairs = index.shape[0]
-    out = np.empty((num_pairs, 5), dtype=np.int64)
-    if num_pairs == 0:
-        return out
+    out = np.empty(num_pairs, dtype=np.int64)
     data = np.asarray(gathered, dtype=np.uint8)
-    touched = np.zeros(data.shape[0], dtype=bool)
-    touched[index.ravel()] = True
-    row_sums = np.zeros(data.shape[0], dtype=np.int64)
-    row_sums[touched] = np.bitwise_count(data[touched]).sum(axis=1, dtype=np.int64)
-    out[:, 0] = row_sums[index[:, 0]]
-    out[:, 1] = row_sums[index[:, 1]]
     for start in range(0, num_pairs, batch):
         stop = min(start + batch, num_pairs)
         joint = data[index[start:stop, 0]] & data[index[start:stop, 1]]
-        out[start:stop, 2] = np.bitwise_count(joint).sum(axis=1, dtype=np.int64)
-    out[:, 3] = out[:, 0]
-    out[:, 4] = out[:, 1]
+        out[start:stop] = np.bitwise_count(joint).sum(axis=1, dtype=np.int64)
     return out
 
 
 def pair_moments_scalar(gathered: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Loop reference of :func:`pair_moments_kernel` (test oracle).
+    """Loop reference of the five correlation sums per pair (test oracle).
 
     Takes the *unpacked* ``N x K`` 0/1 matrix whose columns
-    :func:`pair_moments_kernel` receives packed.
+    :func:`pair_moments_kernel` receives packed, and returns ``P x 5``
+    int64 rows ``(mu_l, mu_r, mu_lr, mu_l2, mu_r2)``; the kernel's
+    output is the ``mu_lr`` column.
     """
     data = np.asarray(gathered)
     index = np.asarray(inverse, dtype=np.int64)

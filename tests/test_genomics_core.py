@@ -111,15 +111,6 @@ class TestGenotypeMatrix:
         assert np.array_equal(matrix.allele_counts([3, 5]), expected[[3, 5]])
         assert matrix.allele_counts().dtype == np.int64
 
-    def test_pair_moments_match_direct(self):
-        matrix = _matrix()
-        data = matrix.array().astype(np.int64)
-        mu_l, mu_r, mu_lr, mu_l2, mu_r2 = matrix.pair_moments(2, 9)
-        assert mu_l == data[:, 2].sum()
-        assert mu_r == data[:, 9].sum()
-        assert mu_lr == (data[:, 2] * data[:, 9]).sum()
-        assert mu_l2 == mu_l and mu_r2 == mu_r  # binary data
-
     def test_select_and_split(self):
         matrix = _matrix()
         selected = matrix.select_snps([1, 4])

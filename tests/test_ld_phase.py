@@ -148,7 +148,7 @@ class TestDegenerateCohorts:
         )
 
     @pytest.mark.parametrize("mode", ("sequential", "parallel"))
-    @pytest.mark.parametrize("shards", (1, 4))
+    @pytest.mark.parametrize("shards", (1, 2, 4))
     @pytest.mark.parametrize("f", (0, 1))
     @pytest.mark.parametrize("name", DEGENERATE)
     def test_l_double_prime_bit_identical(self, name, f, shards, mode):

@@ -43,6 +43,7 @@ from repro.obs import (
     traced,
     write_jsonl,
 )
+from repro.obs.bridge import metric_slug
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +464,21 @@ class TestTracedRun:
             s for s in result.observability.spans if s.name == "net.send"
         ]
         assert sum(s.attributes["wire_bytes"] for s in sends) == result.network_bytes
+
+    def test_bytes_by_kind_sum_to_network_bytes(self, traced_run):
+        _, result = traced_run
+        by_kind = result.network_bytes_by_kind
+        assert {"summary", "ld", "lr"} <= set(by_kind)
+        assert sum(by_kind.values()) == result.network_bytes
+        sent: dict = {}
+        for span in result.observability.spans:
+            if span.name == "net.send":
+                tag = span.attributes["tag"]
+                sent[tag] = sent.get(tag, 0) + span.attributes["wire_bytes"]
+        assert sent == by_kind
+        counters = result.observability.metrics["counters"]
+        for kind, size in by_kind.items():
+            assert counters[f"net.wire_bytes.{metric_slug(kind)}"] == size
 
     def test_metrics_match_result(self, traced_run):
         _, result = traced_run
