@@ -5,9 +5,7 @@ The runnable benchmarks live in ``benchmarks/`` at the repository root
 machinery so those files stay declarative.
 """
 
-from .fig5 import fig5_report, study_decisions
-from .serve import serve_report
-from .shard import shard_report
+from .fig5 import fig5_report
 from .reporting import (
     render_collusion_table,
     render_resource_table,
@@ -15,7 +13,15 @@ from .reporting import (
     render_selection_table,
     render_table,
 )
-from .runner import centralized_row, collusion_row, gendpr_row, naive_row
+from .runner import (
+    centralized_row,
+    collusion_row,
+    gendpr_row,
+    naive_row,
+    study_decisions,
+)
+from .serve import serve_report
+from .shard import shard_report
 from .workloads import (
     PAPER_CASE_FULL,
     PAPER_CASE_HALF,

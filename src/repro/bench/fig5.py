@@ -1,16 +1,17 @@
-"""Machine-readable Figure 5 benchmark: execution modes head to head.
+"""Machine-readable Figure 5 benchmark with an oracle gate.
 
-Runs the GenDPR pipeline for each requested federation size with both
-round execution modes (``sequential`` and ``parallel``) and both
-collusion settings (f = 0 and f = 1), then emits one JSON document —
-``BENCH_fig5.json`` by default — with per-phase wall-clock, OCALL round
-counts per kind, bytes on the wire and the sequential/parallel speedup
-ratios.  ``docs/PERFORMANCE.md`` describes how to read it.
+Runs the GenDPR pipeline once for each requested federation size and
+collusion setting (f = 0 and f = 1), then emits one JSON document —
+``BENCH_fig5.json`` by default — with per-phase modelled time, process
+wall clock, OCALL round counts per kind and bytes on the wire.
+``docs/PERFORMANCE.md`` describes how to read it.
 
-The emitter doubles as the equivalence gate used in CI: for every
-(G, f) cell it asserts that the two modes produced bit-identical study
-*decisions* (retained sets, release power, per-combination safe sets —
-never timings), and the process exits non-zero on any mismatch.
+The emitter doubles as the decision gate used in CI: every (G, f) cell
+is checked against :func:`~repro.core.pipeline.run_local_pipeline`, the
+pure-function SecureGenome oracle over the pooled genomes.  At f = 0
+``L'``, ``L''`` and ``L_safe`` must equal the oracle's; at f = 1 the
+plain track (``collusion.baseline_safe``) must equal the oracle's
+``L_safe``.  The process exits non-zero on any mismatch.
 
 Run as::
 
@@ -24,11 +25,11 @@ import argparse
 import json
 import os
 import time
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..config import CollusionPolicy, ExecutionConfig
+from ..config import CollusionPolicy, StudyConfig
 from ..core.phases import StudyResult
+from ..core.pipeline import PipelineOutcome, run_local_pipeline
 from ..core.protocol import run_study
 from ..core.timing import ALL_LABELS
 from .workloads import (
@@ -39,70 +40,51 @@ from .workloads import (
     paper_config,
 )
 
-#: Modes compared by every cell of the benchmark.
-MODES = ("sequential", "parallel")
+
+def _oracle_mismatches(
+    result: StudyResult, oracle: PipelineOutcome, f: int
+) -> List[str]:
+    """Decision fields of ``result`` that differ from the oracle's."""
+    if f == 0:
+        return [
+            key
+            for key in ("l_prime", "l_double_prime", "l_safe")
+            if list(getattr(result, key)) != list(getattr(oracle, key))
+        ]
+    baseline = result.collusion.baseline_safe if result.collusion else None
+    if baseline is None or list(baseline) != list(oracle.l_safe):
+        return ["collusion.baseline_safe"]
+    return []
 
 
-def study_decisions(result: StudyResult) -> Dict[str, Any]:
-    """The decision fields of a result — everything but timings.
-
-    Two runs are *equivalent* exactly when these compare equal; wall
-    clock, simulated network time and resource readings are allowed to
-    differ between execution modes.
-    """
-    collusion = None
-    if result.collusion is not None:
-        collusion = {
-            "baseline_safe": list(result.collusion.baseline_safe),
-            "outcomes": sorted(
-                (list(o.member_ids), o.f, list(o.safe_snps))
-                for o in result.collusion.outcomes
-            ),
-        }
-    return {
-        "l_prime": list(result.l_prime),
-        "l_double_prime": list(result.l_double_prime),
-        "l_safe": list(result.l_safe),
-        "release_power": result.release_power,
-        "collusion": collusion,
-        "ocall_rounds": dict(result.ocall_rounds),
-    }
+def _oracle(cohort, config: StudyConfig) -> PipelineOutcome:
+    thresholds = config.thresholds
+    return run_local_pipeline(
+        cohort.case.array(),
+        cohort.reference.array(),
+        maf_cutoff=thresholds.maf_cutoff,
+        ld_cutoff=thresholds.ld_cutoff,
+        alpha=thresholds.false_positive_rate,
+        beta=thresholds.power_threshold,
+    )
 
 
 def _run_cell(
-    num_snps: int, gdos: int, f: int, mode: str
+    cohort, config: StudyConfig, gdos: int, f: int
 ) -> tuple[StudyResult, Dict[str, Any]]:
-    cohort, _truth = paper_cohort(PAPER_CASE_FULL, num_snps)
-    collusion = CollusionPolicy((f,)) if f > 0 else CollusionPolicy.none()
-    config = paper_config(
-        num_snps,
-        study_id=f"fig5-G{gdos}-f{f}-{mode}",
-        collusion=collusion,
-    )
-    config = replace(
-        config,
-        execution=(
-            ExecutionConfig.parallel()
-            if mode == "parallel"
-            else ExecutionConfig.sequential()
-        ),
-    )
     begin = time.perf_counter()
     result = run_study(cohort, config, gdos)
     wall_ms = (time.perf_counter() - begin) * 1000.0
     row: Dict[str, Any] = {
         "gdos": gdos,
         "f": f,
-        "mode": mode,
         "phase_ms": {
             label: result.timings.get(label) * 1000.0 for label in ALL_LABELS
         },
-        # Parallel-corrected model time (what Figure 5 plots): the
-        # sequential mode's sum-over-members is replaced by the round
-        # maximum, so this is similar across modes by construction.
+        # Parallel-corrected model time (what Figure 5 plots): each
+        # round's sum over members is replaced by the round maximum.
         "total_ms": result.timings.total_seconds * 1000.0,
-        # Honest process wall-clock of the whole study — the number the
-        # concurrent fan-out actually improves.
+        # Honest process wall clock of the whole study.
         "wall_ms": wall_ms,
         "ocall_rounds": dict(result.ocall_rounds),
         "rounds_total": sum(result.ocall_rounds.values()),
@@ -119,66 +101,39 @@ def fig5_report(
     gdo_counts: Sequence[int] = (5,),
     f_values: Sequence[int] = (0, 1),
 ) -> Dict[str, Any]:
-    """Run every (G, f, mode) cell and assemble the JSON document."""
+    """Run every (G, f) cell, check it against the oracle, assemble JSON."""
+    cohort, _truth = paper_cohort(PAPER_CASE_FULL, num_snps)
+    oracle = _oracle(cohort, paper_config(num_snps, study_id="fig5-oracle"))
     runs: List[Dict[str, Any]] = []
-    speedups: List[Dict[str, Any]] = []
     mismatches: List[str] = []
     for gdos in gdo_counts:
         for f in f_values:
-            decisions: Dict[str, Dict[str, Any]] = {}
-            walls: Dict[str, float] = {}
-            for mode in MODES:
-                result, row = _run_cell(num_snps, gdos, f, mode)
-                runs.append(row)
-                decisions[mode] = study_decisions(result)
-                walls[mode] = row["wall_ms"]
-            if decisions["sequential"] != decisions["parallel"]:
-                mismatches.append(f"G={gdos}, f={f}")
-            parallel_ms = walls["parallel"]
-            seq_run = runs[-2]
-            speedups.append(
-                {
-                    "gdos": gdos,
-                    "f": f,
-                    "sequential_ms": walls["sequential"],
-                    "parallel_ms": parallel_ms,
-                    # Measured process wall ratio — needs >1 CPU core to
-                    # exceed 1.0 (the fan-out is thread-based).
-                    "speedup": (
-                        walls["sequential"] / parallel_ms
-                        if parallel_ms > 0
-                        else 0.0
-                    ),
-                    # Deployment-model ratio: raw sequential wall over
-                    # the parallel-corrected model time (members on
-                    # their own servers), the quantity Figure 5 is
-                    # about; meaningful on any host.
-                    "modeled_speedup": (
-                        walls["sequential"] / seq_run["total_ms"]
-                        if seq_run["total_ms"] > 0
-                        else 0.0
-                    ),
-                }
+            config = paper_config(
+                num_snps,
+                study_id=f"fig5-G{gdos}-f{f}",
+                collusion=CollusionPolicy((f,)) if f > 0 else CollusionPolicy.none(),
             )
+            result, row = _run_cell(cohort, config, gdos, f)
+            runs.append(row)
+            wrong = _oracle_mismatches(result, oracle, f)
+            if wrong:
+                mismatches.append(f"G={gdos}, f={f}: {', '.join(wrong)}")
     return {
         "benchmark": "fig5",
         "snps": num_snps,
         "gdo_counts": list(gdo_counts),
         "f_values": list(f_values),
         "scale": bench_scale(),
-        # Thread fan-out cannot beat sequential wall time on one core;
-        # readers should interpret "speedup" relative to this.
         "cpu_count": os.cpu_count(),
         "runs": runs,
-        "speedups": speedups,
-        "equivalent": not mismatches,
+        "matches_oracle": not mismatches,
         "mismatched_cells": mismatches,
     }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Figure 5 runtime benchmark (sequential vs parallel)"
+        description="Figure 5 runtime benchmark (gated on the local oracle)"
     )
     parser.add_argument(
         "--out", default="BENCH_fig5.json", help="output JSON path"
@@ -204,22 +159,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    for cell in report["speedups"]:
+    for row in report["runs"]:
         print(
-            f"G={cell['gdos']} f={cell['f']}: "
-            f"sequential {cell['sequential_ms']:.1f} ms, "
-            f"parallel {cell['parallel_ms']:.1f} ms "
-            f"(wall speedup {cell['speedup']:.2f}x, "
-            f"modeled {cell['modeled_speedup']:.2f}x, "
-            f"{report['cpu_count']} cores)"
+            f"G={row['gdos']} f={row['f']}: "
+            f"modelled {row['total_ms']:.1f} ms, "
+            f"wall {row['wall_ms']:.1f} ms, "
+            f"{row['rounds_total']} rounds, {row['network_bytes']} B"
         )
-    if not report["equivalent"]:
+    if not report["matches_oracle"]:
         print(
-            "EQUIVALENCE FAILURE: modes disagree on "
-            + ", ".join(report["mismatched_cells"])
+            "ORACLE MISMATCH: " + "; ".join(report["mismatched_cells"])
         )
         return 1
-    print(f"all cells equivalent; report written to {args.out}")
+    print(f"all cells match the oracle; report written to {args.out}")
     return 0
 
 

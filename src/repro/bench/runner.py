@@ -9,16 +9,42 @@ rows.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..config import CollusionPolicy, ObservabilityConfig
 from ..core.baseline import run_centralized_study
 from ..core.naive import run_naive_study
+from ..core.phases import StudyResult
 from ..core.protocol import run_study
 from ..core.timing import ALL_LABELS
 from ..genomics.partition import partition_cohort
 from ..genomics.population import Cohort
 from .workloads import paper_config
+
+
+def study_decisions(result: StudyResult) -> Dict[str, Any]:
+    """The decision fields of a result: what two runs must agree on.
+
+    Timings, simulated network time, resource readings and the OCALL
+    round book are left out; sharded runs legitimately add ``shard:*``
+    rounds while every *decision* stays bit-identical.
+    """
+    collusion = None
+    if result.collusion is not None:
+        collusion = {
+            "baseline_safe": list(result.collusion.baseline_safe),
+            "outcomes": sorted(
+                (list(o.member_ids), o.f, list(o.safe_snps))
+                for o in result.collusion.outcomes
+            ),
+        }
+    return {
+        "l_prime": list(result.l_prime),
+        "l_double_prime": list(result.l_double_prime),
+        "l_safe": list(result.l_safe),
+        "release_power": result.release_power,
+        "collusion": collusion,
+    }
 
 
 def gendpr_row(

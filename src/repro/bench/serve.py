@@ -12,10 +12,11 @@ Runs the same batch of studies twice —
 then emits one JSON document (``BENCH_serve.json`` by default) with
 throughput, p50/p95 submit-to-result latency, and the cold-vs-warm
 steady-state amortization ratio.  The emitter doubles as the
-equivalence gate used in CI: every service study's *decisions* must be
-bit-identical to its one-shot twin (:func:`~repro.bench.fig5.study_decisions`),
-and the process exits non-zero on any mismatch or if the warm
-steady-state latency fails to beat the cold per-study latency.
+equivalence gate used in CI: every service study's *decisions*
+(:func:`~repro.bench.runner.study_decisions`) and OCALL round book must
+be bit-identical to its one-shot twin, and the process exits non-zero
+on any mismatch or if the warm steady-state latency fails to beat the
+cold per-study latency.
 
 Run as::
 
@@ -30,11 +31,11 @@ import json
 import os
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.protocol import run_study
 from ..serve import FederationService, ServiceConfig
-from .fig5 import study_decisions
+from .runner import study_decisions
 from .workloads import (
     PAPER_CASE_HALF,
     bench_scale,
@@ -83,12 +84,14 @@ def serve_report(
 
     # -- cold baseline: provision-per-study ---------------------------------
     cold_ms: List[float] = []
-    cold_decisions: Dict[str, Dict[str, Any]] = {}
+    cold_decisions: Dict[str, Tuple[Dict[str, Any], Dict[str, int]]] = {}
     for config in configs:
         begin = time.perf_counter()
         result = run_study(cohort, config, num_members)
         cold_ms.append((time.perf_counter() - begin) * 1000.0)
-        cold_decisions[config.study_id] = study_decisions(result)
+        cold_decisions[config.study_id] = (
+            study_decisions(result), result.ocall_rounds
+        )
 
     # -- warm pass: one service, one provisioning per slot ------------------
     service_config = ServiceConfig(
@@ -118,7 +121,8 @@ def serve_report(
                     "rounds": status["rounds"],
                 }
             )
-            if study_decisions(result) != cold_decisions[config.study_id]:
+            served = (study_decisions(result), result.ocall_rounds)
+            if served != cold_decisions[config.study_id]:
                 mismatches.append(config.study_id)
         metrics = service.metrics()
     batch_wall_ms = (time.perf_counter() - batch_begin) * 1000.0

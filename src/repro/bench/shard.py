@@ -43,6 +43,7 @@ from ..core.phases import StudyResult
 from ..core.protocol import run_study
 from ..errors import ReproError
 from ..stats import chisq, ld, lr_test
+from .runner import study_decisions
 from .workloads import (
     PAPER_CASE_FULL,
     bench_scale,
@@ -69,31 +70,6 @@ LD_WINDOW = 25
 #: the full-size loops are exactly what the kernels replaced and would
 #: dominate the bench's own runtime.
 SCALAR_SAMPLE = 400
-
-
-def study_decisions(result: StudyResult) -> Dict[str, Any]:
-    """The decision fields of a result — everything but timings.
-
-    Unlike the fig5 gate this omits the OCALL round book: sharded runs
-    legitimately add ``shard:*`` rounds, while every *decision* must
-    stay bit-identical.
-    """
-    collusion = None
-    if result.collusion is not None:
-        collusion = {
-            "baseline_safe": list(result.collusion.baseline_safe),
-            "outcomes": sorted(
-                (list(o.member_ids), o.f, list(o.safe_snps))
-                for o in result.collusion.outcomes
-            ),
-        }
-    return {
-        "l_prime": list(result.l_prime),
-        "l_double_prime": list(result.l_double_prime),
-        "l_safe": list(result.l_safe),
-        "release_power": result.release_power,
-        "collusion": collusion,
-    }
 
 
 def _shard_gauges(result: StudyResult) -> Dict[str, float]:

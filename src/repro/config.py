@@ -115,52 +115,6 @@ class CollusionPolicy:
                 )
 
 
-#: Supported federation execution modes.
-EXECUTION_MODES = ("sequential", "parallel")
-
-
-@dataclass(frozen=True)
-class ExecutionConfig:
-    """How the simulated federation executes member work within a round.
-
-    The paper's evaluation assumes the ``G`` member enclaves compute
-    concurrently on separate servers.  ``parallel`` makes the simulation
-    do the same — each OCALL round fans member frames out to a thread
-    pool (numpy and hashlib release the GIL on the hot paths) — while
-    ``sequential`` keeps the original one-member-at-a-time loop.  Both
-    modes produce bit-identical study outcomes; only wall-clock and the
-    round-accounting reconciliation differ (see ``docs/PERFORMANCE.md``).
-
-    Attributes:
-        mode: ``"sequential"`` or ``"parallel"``.
-        max_workers: thread-pool width for parallel rounds; defaults to
-            one worker per member when unset.
-    """
-
-    mode: str = "sequential"
-    max_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        _require(
-            self.mode in EXECUTION_MODES,
-            f"execution mode must be one of {EXECUTION_MODES}, got {self.mode!r}",
-        )
-        if self.max_workers is not None:
-            _require(self.max_workers > 0, "max_workers must be positive")
-
-    @classmethod
-    def sequential(cls) -> "ExecutionConfig":
-        return cls(mode="sequential")
-
-    @classmethod
-    def parallel(cls, max_workers: Optional[int] = None) -> "ExecutionConfig":
-        return cls(mode="parallel", max_workers=max_workers)
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.mode == "parallel"
-
-
 @dataclass(frozen=True)
 class FaultConfig:
     """Deterministic fault injection for one run (``repro.faults``).
@@ -518,10 +472,10 @@ class ShardingConfig:
     Sharding is part of the study's identity: the deterministic
     range→enclave assignment derives from this config, so ``sharding``
     is deliberately *included* in the run's config fingerprint (unlike
-    ``execution``/``faults``/…), making the aggregation topology
+    ``faults``/``resilience``/…), making the aggregation topology
     auditable from the RunReport.  Outcomes remain bit-identical across
     shard counts — integer addition is associative — and tests enforce
-    it the same way parallel-vs-sequential equivalence is enforced.
+    it.
 
     Attributes:
         num_shards: number of contiguous SNP ranges (``S``); 1 disables
@@ -607,9 +561,6 @@ class StudyConfig:
         study_id: free-form identifier included in protocol messages.
         observability: tracing/metrics switches; excluded from the
             run's config fingerprint because it cannot affect outcomes.
-        execution: sequential vs parallel round execution; also excluded
-            from the fingerprint — both modes yield bit-identical
-            outcomes (enforced by tests).
         faults: deterministic fault injection (off by default); excluded
             from the fingerprint — a faulted run either completes
             bit-identically or aborts with a classified error, it never
@@ -634,7 +585,6 @@ class StudyConfig:
     observability: ObservabilityConfig = field(
         default_factory=ObservabilityConfig
     )
-    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     integrity: IntegrityConfig = field(default_factory=IntegrityConfig)

@@ -71,8 +71,6 @@ class StudyResult:
     #: Residual identification power of the released set.
     release_power: float = 0.0
     collusion: Optional[CollusionReport] = None
-    #: How the OCALL rounds were executed ("sequential" or "parallel").
-    execution_mode: str = "sequential"
     #: Request/response round counts per OCALL kind (e.g. ``{"lr": 1}``);
     #: the batched Phase-3 protocol keeps ``lr`` at one round regardless
     #: of how many collusion combinations were evaluated.

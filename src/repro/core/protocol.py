@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..config import StudyConfig
 from ..errors import (
@@ -66,7 +65,6 @@ class GenDPRProtocol:
     def __init__(self, federation: Federation):
         self._federation = federation
         self._accounting = RoundAccounting()
-        self._executor: Optional[ThreadPoolExecutor] = None
         #: Phase outputs (l_prime / l_double_prime / l_safe); repopulated
         #: deterministically if the supervisor re-runs a phase.
         self._outputs: Dict[str, list] = {}
@@ -149,13 +147,10 @@ class GenDPRProtocol:
     def _ocall_exchange(self, kind: str, frames: Dict[str, bytes]) -> Dict[str, bytes]:
         """Route leader frames to members and collect their answers.
 
-        Per-member enclave compute time is recorded so the phase clock
-        can apply the parallel-round correction (members run on separate
-        servers in a real deployment).  With
-        ``config.execution.mode == "parallel"`` the members of a round
-        are serviced concurrently on a thread pool; both modes produce
-        bit-identical responses (and therefore study outcomes) — only
-        the wall clock differs.
+        Members are serviced one after another; each member's enclave
+        compute time is recorded so the phase clock can apply the
+        parallel-round correction (members run on separate servers in a
+        real deployment).
         """
         if self._round_gate is not None:
             with self._round_gate(kind):
@@ -165,25 +160,17 @@ class GenDPRProtocol:
     def _run_ocall_round(
         self, kind: str, frames: Dict[str, bytes]
     ) -> Dict[str, bytes]:
-        if self._federation.leader_id in frames:
+        federation = self._federation
+        leader_id = federation.leader_id
+        if leader_id in frames:
             raise ProtocolError("leader cannot ocall itself")
-        injector = self._federation.fault_injector
+        injector = federation.fault_injector
         if injector is not None:
             # Advance the fault plan's round counter even on the plain
             # path, so partition windows fire identically whether or not
             # the resilient exchange is in front of them.
             injector.begin_round(kind)
-        execution = self._federation.config.execution
-        if execution.is_parallel and len(frames) > 1:
-            return self._exchange_parallel(kind, frames)
-        return self._exchange_sequential(kind, frames)
-
-    def _exchange_sequential(
-        self, kind: str, frames: Dict[str, bytes]
-    ) -> Dict[str, bytes]:
-        federation = self._federation
         network = federation.network
-        leader_id = federation.leader_id
         responses: Dict[str, bytes] = {}
         member_times: Dict[str, float] = {}
         with TRACER.span("round", kind=kind, members=len(frames)):
@@ -203,91 +190,6 @@ class GenDPRProtocol:
         self._accounting.record_round(member_times, kind=kind)
         return responses
 
-    def _exchange_parallel(
-        self, kind: str, frames: Dict[str, bytes]
-    ) -> Dict[str, bytes]:
-        """Concurrent fan-out: one worker services one member per round.
-
-        Requests were already built (and AEAD-protected) sequentially by
-        the leader enclave, so per-channel sequence numbers are
-        deterministic; each worker touches only its own member's host,
-        channel and inbox.  Replies land in the leader inbox in arrival
-        order, so they are drained keyed by sender and re-ordered to the
-        request order before returning — the response dict is
-        byte-identical to the sequential path's.
-        """
-        federation = self._federation
-        network = federation.network
-        leader_id = federation.leader_id
-        member_times: Dict[str, float] = {}
-        with TRACER.span("round", kind=kind, members=len(frames), concurrent=True):
-            parent = TRACER.current_span_id() if TRACER.enabled else None
-
-            def service(member_id: str, frame: bytes) -> Tuple[float, bool]:
-                with TRACER.propagated(parent):
-                    network.send(
-                        Envelope(
-                            sender=leader_id,
-                            receiver=member_id,
-                            tag=kind,
-                            body=frame,
-                        )
-                    )
-                    inbound = network.receive(member_id, kind)
-                    # thread_time, not perf_counter: wall time on a
-                    # worker includes slices where sibling threads were
-                    # scheduled, which would inflate this member's
-                    # modelled compute; CPU time of the worker thread is
-                    # what the member's own server would spend.
-                    begin = time.thread_time()
-                    reply = federation.hosts[member_id].handle_envelope(inbound)
-                    elapsed = time.thread_time() - begin
-                    if reply is not None:
-                        network.send(reply)
-                    return elapsed, reply is not None
-
-            executor = self._ensure_executor()
-            wall_begin = time.perf_counter()
-            futures = {
-                member_id: executor.submit(service, member_id, frame)
-                for member_id, frame in frames.items()
-            }
-            replies_expected = 0
-            for member_id, future in futures.items():
-                elapsed, replied = future.result()
-                member_times[member_id] = elapsed
-                replies_expected += 1 if replied else 0
-            wall = time.perf_counter() - wall_begin
-            arrived: Dict[str, bytes] = {}
-            for _ in range(replies_expected):
-                envelope = network.receive(leader_id, kind)
-                arrived[envelope.sender] = envelope.body
-        self._accounting.record_round(
-            member_times, kind=kind, wall_seconds=wall, concurrent=True
-        )
-        # Deterministic response order: request order, not arrival order.
-        return {
-            member_id: arrived[member_id]
-            for member_id in frames
-            if member_id in arrived
-        }
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            execution = self._federation.config.execution
-            width = max(1, len(self._federation.hosts) - 1)
-            self._executor = ThreadPoolExecutor(
-                max_workers=execution.max_workers or width,
-                thread_name_prefix="ocall",
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Release the fan-out thread pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
     # -- Study execution ---------------------------------------------------------
 
     def run(self) -> StudyResult:
@@ -301,26 +203,23 @@ class GenDPRProtocol:
         """
         federation = self._federation
         obs_config = federation.config.observability
-        try:
-            if not obs_config.enabled:
-                return self._execute_study()
-            if TRACER.enabled:
-                # A caller (run_study, or a user-held scope) already
-                # activated a collector — e.g. so that federation
-                # provisioning and leader election are part of the trace.
-                # Join it instead of nesting a second one.
-                collector = TRACER.collector
+        if not obs_config.enabled:
+            return self._execute_study()
+        if TRACER.enabled:
+            # A caller (run_study, or a user-held scope) already
+            # activated a collector — e.g. so that federation
+            # provisioning and leader election are part of the trace.
+            # Join it instead of nesting a second one.
+            collector = TRACER.collector
+            result = self._traced_execute()
+        else:
+            collector = SpanCollector(max_spans=obs_config.max_spans)
+            with TRACER.activated(
+                collector, capture_messages=obs_config.capture_messages
+            ):
                 result = self._traced_execute()
-            else:
-                collector = SpanCollector(max_spans=obs_config.max_spans)
-                with TRACER.activated(
-                    collector, capture_messages=obs_config.capture_messages
-                ):
-                    result = self._traced_execute()
-            result.observability = self._build_report(result, collector)
-            return result
-        finally:
-            self.close()
+        result.observability = self._build_report(result, collector)
+        return result
 
     def _traced_execute(self) -> StudyResult:
         federation = self._federation
@@ -807,12 +706,11 @@ class GenDPRProtocol:
     ) -> None:
         """One tree level: every child emits its partial to its parent.
 
-        Edges of a level touch distinct children, so parallel execution
-        fans the emits out like an OCALL round; deliveries stay
-        sequential in edge order (partial ingestion is int64 addition —
-        commutative — so arrival grouping cannot change the sums).
-        Under resilience the level runs through the retrying variant;
-        this zero-overhead fast path stays byte-identical otherwise.
+        All children emit first, in edge order; the parents then ingest
+        the partials in the same order (partial ingestion is int64
+        addition, so the grouping cannot change the sums).  Under
+        resilience the level runs through the retrying variant; this
+        zero-overhead fast path stays byte-identical otherwise.
         """
         if self._resilient is not None:
             self._combine_level_resilient(task_id, kind, edges, verify)
@@ -822,17 +720,13 @@ class GenDPRProtocol:
         injector = federation.fault_injector
         if injector is not None:
             injector.begin_round(kind)
-        execution = federation.config.execution
-        parallel = execution.is_parallel and len(edges) > 1
         member_times: Dict[str, float] = {}
         with TRACER.span(
             "shard-level", kind=kind, edges=len(edges), task=task_id
         ):
-
-            def emit(child: str, parent: str) -> float:
+            for child, parent in edges:
                 host = federation.hosts[child]
-                timer = time.thread_time if parallel else time.perf_counter
-                begin = timer()
+                begin = time.perf_counter()
                 frame = host.enclave.ecall(
                     "shard_emit_partial",
                     host.store,
@@ -840,27 +734,12 @@ class GenDPRProtocol:
                     parent,
                     label="shard",
                 )["frame"]
-                elapsed = timer() - begin
+                member_times[child] = time.perf_counter() - begin
                 network.send(
                     Envelope(
                         sender=child, receiver=parent, tag="shard", body=frame
                     )
                 )
-                return elapsed
-
-            wall_begin = time.perf_counter()
-            if parallel:
-                executor = self._ensure_executor()
-                futures = {
-                    child: executor.submit(emit, child, parent)
-                    for child, parent in edges
-                }
-                for child, future in futures.items():
-                    member_times[child] = future.result()
-            else:
-                for child, parent in edges:
-                    member_times[child] = emit(child, parent)
-            wall = time.perf_counter() - wall_begin
             for child, parent in edges:
                 inbound = network.receive(parent, "shard")
                 begin = time.perf_counter()
@@ -868,12 +747,7 @@ class GenDPRProtocol:
                 member_times[parent] = member_times.get(parent, 0.0) + (
                     time.perf_counter() - begin
                 )
-        if parallel:
-            self._accounting.record_round(
-                member_times, kind=kind, wall_seconds=wall, concurrent=True
-            )
-        else:
-            self._accounting.record_round(member_times, kind=kind)
+        self._accounting.record_round(member_times, kind=kind)
 
     def _combine_level_resilient(
         self, task_id: str, kind: str, edges, verify: bool
@@ -1232,7 +1106,6 @@ class GenDPRProtocol:
                 leader.ecall("lead_release_power", label="report")
             ),  # lint: declassify(attack power over the released set is the headline metric)
             collusion=collusion,
-            execution_mode=config.execution.mode,
             ocall_rounds=dict(self._accounting.rounds_by_kind),
         )
 

@@ -37,8 +37,8 @@ class ProvisionedFederation:
     ``__enter__`` validates the config against the cohort, partitions
     the case population, provisions a fresh federation (or binds the
     study to a warm ``substrate``), and exposes ``.federation`` and
-    ``.protocol``.  ``__exit__`` releases the protocol's thread pool
-    and deactivates the tracer scope it opened.
+    ``.protocol``.  ``__exit__`` deactivates the tracer scope it
+    opened.
 
     When observability is enabled and no collector is active yet, a
     collector is activated *around provisioning too*, so leader
@@ -127,8 +127,6 @@ class ProvisionedFederation:
         return self.protocol.run()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.protocol is not None:
-            self.protocol.close()
         self._close_tracer(exc_type, exc, tb)
         return False
 

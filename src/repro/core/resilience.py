@@ -44,7 +44,7 @@ import time
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from ..errors import (
     ChannelError,
@@ -89,9 +89,9 @@ class FailureReport:
 class _ReplyRouter:
     """Routes the leader's inbox to per-member reply slots, with dedup.
 
-    Worker threads of a parallel round all pump the shared leader inbox;
-    one lock serialises the popping, and a per-member set of seen frame
-    hashes rejects duplicated or late-released copies.  The sets are
+    Every member's service step pumps the shared leader inbox; one lock
+    serialises the popping, and a per-member set of seen frame hashes
+    rejects duplicated or late-released copies.  The sets are
     *generational*, not cumulative: a round boundary rotates the current
     generation into the previous one and starts fresh, so memory stays
     bounded by two rounds' traffic instead of growing for the whole
@@ -167,7 +167,7 @@ class ResilientExchange:
     """OCALL exchange with bounded retry; see the module docstring.
 
     Callable with the ``(kind, frames) -> responses`` signature the
-    leader enclave's phase ECALLs expect, for both execution modes.
+    leader enclave's phase ECALLs expect.
     """
 
     def __init__(self, protocol):
@@ -223,49 +223,13 @@ class ResilientExchange:
             injector.begin_round(kind)
         self._bump("rounds")
         self._router.begin_round(kind, expected=set(frames))
-        execution = federation.config.execution
-        accounting = self._protocol._accounting
         member_times: Dict[str, float] = {}
-        if execution.is_parallel and len(frames) > 1:
-            with TRACER.span(
-                "round", kind=kind, members=len(frames), concurrent=True,
-                resilient=True,
-            ):
-                parent = TRACER.current_span_id() if TRACER.enabled else None
-
-                def service(member_id: str, frame: bytes) -> float:
-                    with TRACER.propagated(parent):
-                        return self._service_member(
-                            kind, member_id, frame, timer=time.thread_time
-                        )
-
-                executor = self._protocol._ensure_executor()
-                wall_begin = time.perf_counter()
-                futures = {
-                    member_id: executor.submit(service, member_id, frame)
-                    for member_id, frame in frames.items()
-                }
-                errors = []
-                for member_id, future in futures.items():
-                    try:
-                        member_times[member_id] = future.result()
-                    except Exception as exc:  # noqa: BLE001 - re-raised below
-                        errors.append(exc)
-                if errors:
-                    raise errors[0]
-                wall = time.perf_counter() - wall_begin
-            accounting.record_round(
-                member_times, kind=kind, wall_seconds=wall, concurrent=True
-            )
-        else:
-            with TRACER.span(
-                "round", kind=kind, members=len(frames), resilient=True
-            ):
-                for member_id, frame in frames.items():
-                    member_times[member_id] = self._service_member(
-                        kind, member_id, frame, timer=time.perf_counter
-                    )
-            accounting.record_round(member_times, kind=kind)
+        with TRACER.span("round", kind=kind, members=len(frames), resilient=True):
+            for member_id, frame in frames.items():
+                member_times[member_id] = self._service_member(
+                    kind, member_id, frame
+                )
+        self._protocol._accounting.record_round(member_times, kind=kind)
         arrived = self._router.replies()
         # Deterministic response order: request order, not arrival order.
         return {
@@ -276,9 +240,7 @@ class ResilientExchange:
 
     # -- per-member service state machine ------------------------------------
 
-    def _service_member(
-        self, kind: str, member_id: str, frame: bytes, *, timer
-    ) -> float:
+    def _service_member(self, kind: str, member_id: str, frame: bytes) -> float:
         """Drive one member through request → handle → reply, with retry.
 
         Returns the member's enclave compute seconds.  The state machine
@@ -311,9 +273,9 @@ class ResilientExchange:
                     request_sent = True
                 if not handled:
                     inbound = self._pump_member(member_id, expected)
-                    begin = timer()
+                    begin = time.perf_counter()
                     reply = federation.hosts[member_id].handle_envelope(inbound)
-                    elapsed = timer() - begin
+                    elapsed = time.perf_counter() - begin
                     handled = True
                     if reply is not None:
                         network.send(reply)
@@ -321,9 +283,9 @@ class ResilientExchange:
                     return elapsed
                 # Pump unconditionally: draining an already-routed
                 # inbox is a no-op, and gating the pump on has_reply()
-                # made this branch depend on whether a sibling worker
-                # pumped first — a schedule-dependent path that
-                # coverage-keyed replay (repro.fuzz) must not see.
+                # would make this branch depend on whether an earlier
+                # member's pump routed this reply first — a path that
+                # coverage-keyed replay (repro.fuzz) must not key on.
                 self._router.pump()
                 if not self._router.has_reply(member_id):
                     raise NetworkError(

@@ -215,8 +215,7 @@ class AggregationTree:
     def levels(self) -> List[List[Tuple[str, str]]]:
         """Combine schedule: ``(child, parent)`` edges, deepest first.
 
-        Edges within one level touch distinct children, so their emit
-        ECALLs can run concurrently under the parallel executor.
+        Edges within one level touch distinct children.
         """
         by_depth: Dict[int, List[Tuple[str, str]]] = {}
         for position in range(1, len(self.nodes)):

@@ -4,12 +4,14 @@ The paper's Figures 5 and 6 break the running time into four task
 categories.  Reproducing their *shape* on a single machine requires one
 modelling step: in a real deployment every member's enclave computes its
 answer to a leader request **concurrently on its own server**, whereas
-this simulation executes them sequentially in one process.  The
-:class:`RoundAccounting` hook therefore records, for every
-request/response round, both the sequential sum and the per-round
-maximum of member compute times; the reported wall time replaces the
-sum by the maximum, which is exactly the time a synchronous round takes
-across parallel sites.  Leader-side computation is charged as measured.
+this simulation services them one after another in one process.
+
+There is one clock.  Every duration is ``time.perf_counter`` wall time
+of this process.  For every request/response round,
+:class:`RoundAccounting` records the sum and the maximum of the member
+compute times; the modelled phase time replaces the sum by the maximum,
+which is exactly the time a synchronous round takes across parallel
+sites.  Leader-side computation is charged as measured.
 
 Everything else (no hidden scaling factors) is honest wall-clock time of
 this Python implementation, so absolute numbers differ from the paper's
@@ -38,47 +40,30 @@ ALL_LABELS = (DATA_AGGREGATION, INDEXING, LD_ANALYSIS, LR_ANALYSIS)
 class RoundAccounting:
     """Collects member compute times of request/response rounds."""
 
+    #: Sum of member compute times: what the in-process loop spent.
     sequential_seconds: float = 0.0
+    #: Sum over rounds of the slowest member: the concurrent-sites model.
     parallel_seconds: float = 0.0
-    #: Wall-clock the round actually occupied in this process.  For a
-    #: sequential round that is the sum of member times (the loop runs
-    #: them back to back); a concurrent round passes its measured round
-    #: wall, which is what the parallel correction must reconcile with.
-    measured_seconds: float = 0.0
     rounds: int = 0
-    #: Rounds executed via the concurrent fan-out engine.
-    concurrent_rounds: int = 0
     #: Total member answers across all rounds (concurrency numerator).
     member_answers: int = 0
     rounds_by_kind: Dict[str, int] = field(default_factory=dict)
 
     def record_round(
-        self,
-        member_seconds: Dict[str, float],
-        *,
-        kind: str = "",
-        wall_seconds: float | None = None,
-        concurrent: bool = False,
+        self, member_seconds: Dict[str, float], *, kind: str = ""
     ) -> None:
         """Record one round's per-member compute durations.
 
-        ``wall_seconds`` is the wall-clock the round occupied (defaults
-        to the sum of member times, i.e. sequential execution);
         ``kind`` tags the round with its request tag for per-phase round
-        counting; ``concurrent`` marks rounds run by the fan-out engine.
+        counting.
         """
         if not member_seconds:
             return
         values = list(member_seconds.values())
         self.sequential_seconds += sum(values)
         self.parallel_seconds += max(values)
-        self.measured_seconds += (
-            sum(values) if wall_seconds is None else max(wall_seconds, 0.0)
-        )
         self.rounds += 1
         self.member_answers += len(values)
-        if concurrent:
-            self.concurrent_rounds += 1
         if kind:
             self.rounds_by_kind[kind] = self.rounds_by_kind.get(kind, 0) + 1
 
@@ -86,13 +71,10 @@ class RoundAccounting:
     def parallel_saving(self) -> float:
         """Seconds the parallel model removes from the measured trace.
 
-        With sequential execution this is the classic sum-minus-max
-        correction; with the concurrent engine the measured round walls
-        already overlap member work, so the remaining correction is only
-        the gap between the real wall and the ideal ``max`` model
-        (thread scheduling overhead, GIL contention).
+        The classic sum-minus-max correction: members that ran back to
+        back here would have overlapped on their own servers.
         """
-        return self.measured_seconds - self.parallel_seconds
+        return self.sequential_seconds - self.parallel_seconds
 
     @property
     def mean_concurrency(self) -> float:

@@ -10,9 +10,9 @@ derived by hashing ``(seed, sender, receiver, i)`` through
   :class:`~repro.config.FaultConfig` injects exactly the same faults,
   so any chaos-suite failure reproduces from its seed alone.
 * **Schedule determinism under concurrency** — per-link message indices
-  are deterministic even when the parallel execution engine services
-  members on worker threads (each worker owns its member's links), so
-  thread interleaving cannot change which envelopes are hit.
+  are deterministic even when the service runs several studies on
+  worker threads (each study owns its own links), so thread
+  interleaving cannot change which envelopes are hit.
 
 This mirrors the seeded-exploration idea of coverage-guided fuzzers
 (deterministic, replayable schedules instead of ad-hoc sleeps) applied

@@ -28,7 +28,7 @@ from .coverage import Behaviour
 from .genome import PlanGenome
 
 #: Version tag of the corpus wire format.
-CORPUS_FORMAT = 1
+CORPUS_FORMAT = 2
 
 
 class CorpusPool:

@@ -5,8 +5,8 @@ A :class:`PlanGenome` is one point in the chaos input space: a
 rates, crash-point ECALL indices, partition windows, the Byzantine
 REPLAY/WITHHOLD/EQUIVOCATE knobs, checkpoint tampering and shard-flip
 targets) plus the *run axes* the legacy chaos tiers swept by hand —
-execution mode, collusion tolerance, shard count, supervision and
-integrity verification.
+collusion tolerance, shard count, supervision and integrity
+verification.
 
 Genomes are value objects with a canonical JSON form and a SHA-256
 digest, so a corpus entry is self-describing and every chaos-report
@@ -26,7 +26,6 @@ from typing import Tuple
 
 from ..config import (
     CollusionPolicy,
-    ExecutionConfig,
     FaultConfig,
     IntegrityConfig,
     ResilienceConfig,
@@ -50,9 +49,6 @@ MODULE_RATE_FIELDS: Tuple[str, ...] = ("equivocate_rate", "shard_flip_rate")
 
 RATE_FIELDS: Tuple[str, ...] = ENVELOPE_RATE_FIELDS + MODULE_RATE_FIELDS
 
-#: Execution-mode axis values.
-MODES: Tuple[str, ...] = ("sequential", "parallel")
-
 #: Shard-count axis values (1 disables sharding).
 SHARD_AXIS: Tuple[int, ...] = (1, 2, 4)
 
@@ -65,15 +61,12 @@ class PlanGenome:
     """One fuzzable chaos scenario: a fault plan plus its run axes."""
 
     faults: FaultConfig = field(default_factory=FaultConfig)
-    mode: str = "sequential"
     f: int = 0
     shards: int = 1
     supervised: bool = True
     integrity: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown execution mode {self.mode!r}")
         if self.f not in COLLUSION_AXIS:
             raise ConfigError("collusion axis must be 0 or 1")
         if self.shards < 1:
@@ -84,7 +77,6 @@ class PlanGenome:
     def to_json_dict(self) -> dict:
         return {
             "faults": self.faults.to_json_dict(),
-            "mode": self.mode,
             "f": self.f,
             "shards": self.shards,
             "supervised": self.supervised,
@@ -96,7 +88,6 @@ class PlanGenome:
         try:
             return cls(
                 faults=FaultConfig.from_json_dict(doc["faults"]),
-                mode=str(doc["mode"]),
                 f=int(doc["f"]),
                 shards=int(doc["shards"]),
                 supervised=bool(doc["supervised"]),
@@ -146,7 +137,6 @@ class PlanGenome:
         rate_mass = sum(getattr(self.faults, name) for name in RATE_FIELDS)
         axis_cost = (
             (self.shards > 1)
-            + (self.mode == "parallel")
             + (self.f > 0)
             + (not self.supervised)
             + self.integrity
@@ -267,7 +257,6 @@ def genome_config(
         snp_count=snp_count,
         study_id=study_id,
         seed=study_seed,
-        execution=ExecutionConfig(mode=genome.mode),
         collusion=(
             CollusionPolicy.static(genome.f)
             if genome.f

@@ -23,7 +23,6 @@ from ..crypto.rng import DeterministicRng
 from ..errors import ConfigError
 from .genome import (
     ENVELOPE_RATE_FIELDS,
-    MODES,
     RATE_FIELDS,
     PlanGenome,
     normalize,
@@ -248,11 +247,7 @@ class PlanMutator:
         )
 
     def _op_flip_axis(self, genome: PlanGenome) -> PlanGenome:
-        axis = self._choice(
-            ("mode", "f", "shards", "supervised", "integrity")
-        )
-        if axis == "mode":
-            return replace(genome, mode=self._choice(MODES))
+        axis = self._choice(("f", "shards", "supervised", "integrity"))
         if axis == "f":
             return replace(genome, f=self._rng.randbelow(2))
         if axis == "shards":
@@ -287,7 +282,7 @@ class PlanMutator:
             )
         genome = replace(genome, faults=replace(faults, **updates))
         if self._rng.randbelow(2):
-            genome = replace(genome, shards=other.shards, mode=other.mode)
+            genome = replace(genome, shards=other.shards)
         return genome
 
     # -- the front door -------------------------------------------------------

@@ -11,7 +11,7 @@ same invariant code path, so a fuzz-discovered violation is exactly a
 chaos-tier failure and vice versa.
 
 :class:`DecisionOracle` owns the cohort, the fault-free references per
-(execution mode, collusion) cell and the comparison/classification
+collusion tolerance ``f`` and the comparison/classification
 logic; :meth:`DecisionOracle.execute` runs one configured study and
 returns an :class:`OracleRun` with the verdict, the telemetry the
 tiers assert over, and the behaviour-counter units the fuzzer keys its
@@ -23,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from ..config import (
-    CollusionPolicy,
-    ExecutionConfig,
-    StudyConfig,
-)
+from ..config import CollusionPolicy, StudyConfig
 from ..core.federation import Federation, build_federation
 from ..core.leader import elect_leader
 from ..core.protocol import GenDPRProtocol
@@ -108,8 +104,8 @@ class OracleRun:
         """A chaos-report record for this run (plan + digest + outcome).
 
         The plan digest makes every record traceable to its corpus
-        entry; the chaos tiers merge ``extra`` fields like seed, mode
-        and shard count on top.
+        entry; the chaos tiers merge ``extra`` fields like seed and
+        shard count on top.
         """
         plan = self.federation.fault_injector.plan
         record: Dict[str, object] = {
@@ -152,7 +148,7 @@ class DecisionOracle:
         self.snp_count = cohort.num_snps
         self.study_id = study_id
         self.study_seed = study_seed
-        self._references: Dict[Tuple[str, int], object] = {}
+        self._references: Dict[int, object] = {}
 
     # -- federation shape -----------------------------------------------------
 
@@ -168,27 +164,25 @@ class DecisionOracle:
 
     # -- references -----------------------------------------------------------
 
-    def reference(self, mode: str, f: int):
-        """The fault-free reference of one (mode, collusion) cell.
+    def reference(self, f: int):
+        """The fault-free reference of one collusion tolerance ``f``.
 
         Computed with faults, resilience *and* integrity disabled, so
         every faulted run simultaneously validates that the defensive
         machinery changes no release decision.
         """
-        key = (mode, f)
-        if key not in self._references:
+        if f not in self._references:
             config = StudyConfig(
                 snp_count=self.snp_count,
                 study_id=self.study_id,
                 seed=self.study_seed,
-                execution=ExecutionConfig(mode=mode),
                 collusion=(
                     CollusionPolicy.static(f) if f else CollusionPolicy.none()
                 ),
             )
             federation = self._build(config)
-            self._references[key] = GenDPRProtocol(federation).run()
-        return self._references[key]
+            self._references[f] = GenDPRProtocol(federation).run()
+        return self._references[f]
 
     def _build(self, config: StudyConfig) -> Federation:
         return build_federation(
@@ -209,15 +203,13 @@ class DecisionOracle:
 
         The verdict contract is the chaos tiers' invariant: either the
         run completes with decisions bit-identical to the fault-free
-        reference of its (mode, collusion) cell, or it aborts with a
+        reference of its collusion tolerance, or it aborts with a
         classified :class:`~repro.errors.ReproError`.  Anything else —
         divergent decisions, an unclassified exception — is a
         *violation*.  When ``collector`` is given, arcs of the
         detection modules are recorded around the protocol run.
         """
-        reference = self.reference(
-            config.execution.mode, max(config.collusion.f_values, default=0)
-        )
+        reference = self.reference(max(config.collusion.f_values, default=0))
         federation = self._build(config)
         protocol = GenDPRProtocol(federation)
         result = None

@@ -43,11 +43,6 @@ BYZANTINE_STALE_SEEDS = frozenset(
 BYZANTINE_CORRUPT_SEEDS = frozenset(s for s in BYZANTINE_SEEDS if s % 7 == 0)
 
 
-def seed_mode(seed: int) -> str:
-    """Execution-mode axis: the sweeps alternate by seed parity."""
-    return "parallel" if seed % 2 else "sequential"
-
-
 def seed_f(seed: int) -> int:
     """Collusion axis: two of every four consecutive seeds run f=1."""
     return 1 if seed % 4 >= 2 else 0
@@ -107,7 +102,6 @@ def chaos_seed_genome(
     """One crash-tier sweep cell as a genome (supervised, no integrity)."""
     return PlanGenome(
         faults=chaos_fault_config(seed, members=members, leader=leader),
-        mode=seed_mode(seed),
         f=seed_f(seed),
         shards=1,
         supervised=True,
@@ -121,7 +115,6 @@ def byzantine_seed_genome(
     """One Byzantine sweep cell as a genome (supervised, integrity on)."""
     return PlanGenome(
         faults=byzantine_fault_config(seed, members=members, leader=leader),
-        mode=seed_mode(seed),
         f=seed_f(seed),
         shards=1,
         supervised=True,

@@ -46,8 +46,6 @@ def _axis_candidates(genome: PlanGenome) -> Iterator[PlanGenome]:
     """Axis simplifications, plainest-first."""
     if genome.shards > 1:
         yield replace(genome, shards=1)
-    if genome.mode != "sequential":
-        yield replace(genome, mode="sequential")
     if genome.f != 0:
         yield replace(genome, f=0)
     if not genome.supervised:

@@ -1,9 +1,9 @@
 """R2 — determinism.
 
-Two repo-wide invariants are enforced by equivalence suites: the
-sequential and parallel execution engines must decide bit-identically
-(PR 2), and fault-injected runs must either match the fault-free
-reference or abort classified (PR 3).  Both break silently if protocol
+Two repo-wide invariants are enforced by equivalence suites: a study
+must decide bit-identically across runs, shard counts and the service,
+and fault-injected runs must either match the fault-free reference or
+abort classified.  Both break silently if protocol
 or statistics code lets incidental orderings or ambient state leak into
 decisions.  This rule flags the three classic ways that happens:
 
@@ -81,7 +81,7 @@ class DeterminismRule(Rule):
     rule_id = "R2"
     name = "determinism"
     rationale = (
-        "sequential/parallel and fault-free/faulted runs must decide "
+        "repeated, sharded and fault-free/faulted runs must decide "
         "bit-identically: no set-order, id() or wall-clock dependence"
     )
     default_scopes = (

@@ -1,8 +1,9 @@
 """R4 — lock discipline.
 
-The parallel execution engine (PR 2) fans OCALLs out over a
-``ThreadPoolExecutor`` while the simulated network and the resilient
-exchange guard shared state with per-inbox and per-component locks.
+The federation service (:mod:`repro.serve`) runs studies on worker
+threads over one shared router, while the simulated network and the
+resilient exchange guard shared state with per-inbox and
+per-component locks.
 Deadlock freedom there is an ordering argument: as long as every thread
 acquires locks in one global partial order, no cycle of waiters can
 form.  This rule extracts the static acquisition-order graph from
@@ -160,7 +161,7 @@ class LockDisciplineRule(Rule):
     rule_id = "R4"
     name = "lock-discipline"
     rationale = (
-        "the ThreadPoolExecutor fan-out stays deadlock-free only while "
+        "concurrent service studies stay deadlock-free only while "
         "every thread acquires locks in one global order"
     )
     default_scopes = ("net", "resilience", "serve")

@@ -7,10 +7,10 @@ arise through call chains (``pump()`` holds the router lock while
 instrumented ``threading.Lock`` replacements that record, per thread,
 every (held → acquired) edge actually executed.  The union of the
 static and the observed dynamic edges must still be acyclic — that is
-the global-acquisition-order claim the parallel engine relies on.
+the global-acquisition-order claim concurrent service studies rely on.
 
 Debug/tests only: nothing in ``repro`` imports this module at runtime.
-Typical wiring (see ``tests/test_parallel_execution.py``)::
+Typical wiring (see ``TestLockOrderCrossCheck`` in ``tests/test_serve.py``)::
 
     factory = OrderedLockFactory()
     monkeypatch.setattr(network_module, "threading", factory.shim())

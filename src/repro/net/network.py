@@ -14,8 +14,8 @@ Federation members run on one machine in this reproduction, so the
 Delivery is reliable and ordered per link, matching the TLS-like
 transport an SGX deployment would use between sites.
 
-The router is thread-safe: the parallel execution engine
-(:mod:`repro.core.protocol`) sends and receives from worker threads
+The router is thread-safe: :mod:`repro.serve` runs studies on worker
+threads over one shared router, each sending and receiving
 concurrently.  Each inbox has its own lock (senders to different
 receivers never contend) and link/clock accounting updates atomically
 under a shared stats lock.

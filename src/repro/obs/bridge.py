@@ -95,9 +95,6 @@ def record_rounds(registry: MetricsRegistry, accounting) -> None:
     registry.counter("protocol.ocall_rounds").inc(accounting.rounds)
     for kind, count in sorted(accounting.rounds_by_kind.items()):
         registry.counter(f"protocol.ocall_rounds.{metric_slug(kind)}").inc(count)
-    registry.counter("protocol.concurrent_rounds").inc(
-        accounting.concurrent_rounds
-    )
     registry.gauge("protocol.round_concurrency").set(accounting.mean_concurrency)
     registry.gauge("protocol.parallel_saving_s").set(accounting.parallel_saving)
     registry.gauge("protocol.round_member_s").set(accounting.parallel_seconds)

@@ -24,9 +24,8 @@ from .span import Span
 SCHEMA_VERSION = 1
 
 #: Config fields that do not affect study *outcomes* and are excluded
-#: from the fingerprint, so traced and untraced runs of one study match —
-#: as do sequential and parallel executions, whose outcome equivalence
-#: the test suite enforces.  Fault injection and resilience knobs are
+#: from the fingerprint, so traced and untraced runs of one study
+#: match.  Fault injection and resilience knobs are
 #: excluded for the same reason: a faulted run either completes with
 #: bit-identical outcomes or aborts with a classified error (enforced
 #: by the chaos suite), so they are not part of a run's identity.  The
@@ -34,7 +33,6 @@ SCHEMA_VERSION = 1
 #: are excluded on the same grounds.
 FINGERPRINT_EXCLUDED_FIELDS = (
     "observability",
-    "execution",
     "faults",
     "resilience",
     "integrity",

@@ -127,26 +127,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    @contextmanager
-    def propagated(self, span_id: Optional[int]) -> Iterator[None]:
-        """Adopt ``span_id`` as this thread's current parent span.
-
-        Span hierarchy is tracked per thread, so spans opened on a worker
-        thread would otherwise become roots.  A fan-out captures
-        :meth:`current_span_id` before dispatching and wraps each worker
-        body in ``propagated(parent)``, keeping e.g. member ECALL spans
-        parented under the round span that triggered them.  ``None``
-        (tracing disabled, or no open span) is a no-op.
-        """
-        if span_id is None:
-            yield
-            return
-        self._push(span_id)
-        try:
-            yield
-        finally:
-            self._pop()
-
     # -- recording ---------------------------------------------------------------
 
     @property

@@ -1,8 +1,8 @@
 """Chaos suite: seeded fault-plan sweep over the supervised runtime.
 
 Every run of the sweep must either complete with release decisions
-**bit-identical** to the fault-free reference of its (execution mode,
-collusion) cell, or abort with a *classified* :class:`ReproError`
+**bit-identical** to the fault-free reference of its collusion
+setting, or abort with a *classified* :class:`ReproError`
 subclass — never hang, never return a divergent answer.
 
 The invariant itself lives in :mod:`repro.fuzz.oracle` — the same
@@ -37,7 +37,6 @@ from repro.fuzz.seeds import (
     CHAOS_SEEDS,
     chaos_seed_genome,
     seed_f,
-    seed_mode,
 )
 from repro.genomics import SyntheticSpec
 
@@ -47,8 +46,8 @@ STUDY_SEED = 5
 
 #: Subset of the sweep re-run sharded (per shard count in SHARD_AXIS):
 #: the same seeded plans, now also stressing tree rounds and repair.
-#: Hand-picked to cover both modes, both collusion settings, a leader
-#: crash (10, 15, 20) and a partition window (7).
+#: Hand-picked to cover both collusion settings, a leader crash
+#: (10, 15, 20) and a partition window (7).
 SHARDED_SEEDS = [1, 2, 7, 10, 15, 20]
 SHARD_AXIS = (2, 4)
 
@@ -96,7 +95,6 @@ def _collect(run, seed, shards=1, **extra):
     _collected_runs[(seed, shards)] = run.record(
         seed=seed,
         shards=shards,
-        mode=seed_mode(seed),
         f=seed_f(seed),
         failovers=run.failovers,
         **extra,
@@ -182,22 +180,12 @@ def test_sharded_sweep_decisions_identical_across_shard_counts():
     assert completed >= len(SHARDED_SEEDS) // 2
 
 
-def test_sweep_covers_both_modes_and_collusion():
-    cells = {(seed_mode(s), seed_f(s)) for s in CHAOS_SEEDS}
-    assert cells == {
-        ("sequential", 0),
-        ("sequential", 1),
-        ("parallel", 0),
-        ("parallel", 1),
-    }
+def test_sweep_covers_collusion_crashes_and_partitions():
+    assert {seed_f(s) for s in CHAOS_SEEDS} == {0, 1}
     assert len(CHAOS_SEEDS) >= 20
     assert CHAOS_CRASH_SEEDS and CHAOS_PARTITION_SEEDS
-    # The sharded subset keeps the same spread: both modes, both
-    # collusion settings, at least one crash and one partition plan.
-    assert {seed_mode(s) for s in SHARDED_SEEDS} == {
-        "sequential",
-        "parallel",
-    }
+    # The sharded subset keeps the same spread: both collusion
+    # settings, at least one crash and one partition plan.
     assert {seed_f(s) for s in SHARDED_SEEDS} == {0, 1}
     assert set(SHARDED_SEEDS) & CHAOS_CRASH_SEEDS
     assert set(SHARDED_SEEDS) & CHAOS_PARTITION_SEEDS

@@ -9,7 +9,7 @@ checkpoint freshness; see ``docs/RESILIENCE.md``).
 
 The verdict contract is the crash tier's, but strictly harder: every
 run must either complete with release decisions **bit-identical** to
-the fault-free reference of its (mode, collusion) cell, or abort with
+the fault-free reference of its collusion setting, or abort with
 a *classified* integrity error — and every detection must increment
 its ``integrity.*`` counter.  The invariant executes inside
 :mod:`repro.fuzz.oracle` (shared with the fuzzer and the crash tier)
@@ -42,7 +42,6 @@ from repro.fuzz.seeds import (
     byzantine_seed_genome,
     first_follower,
     seed_f,
-    seed_mode,
 )
 from repro.genomics import SyntheticSpec
 
@@ -51,7 +50,7 @@ STUDY_ID = "byzantine-sweep"
 STUDY_SEED = 5
 
 #: Subset of the sweep re-run sharded (per shard count in SHARD_AXIS).
-#: Hand-picked for both modes, both collusion settings, broadcast
+#: Hand-picked for both collusion settings, broadcast
 #: equivocators (102, 105, 108, 111) and corrupt-checkpoint tamperers
 #: (105, 112).
 SHARDED_SEEDS = [101, 102, 105, 108, 111, 112]
@@ -115,7 +114,6 @@ def _collect(run, seed, shards=1, **extra):
     _collected_runs[(seed, shards)] = run.record(
         seed=seed,
         shards=shards,
-        mode=seed_mode(seed),
         f=seed_f(seed),
         failovers=run.failovers,
         integrity=dict(run.integrity_counters),
@@ -219,14 +217,8 @@ def test_sharded_sweep_armed_the_interior_node_attack():
     )
 
 
-def test_sweep_covers_modes_collusion_and_adversaries():
-    cells = {(seed_mode(s), seed_f(s)) for s in BYZANTINE_SEEDS}
-    assert cells == {
-        ("sequential", 0),
-        ("sequential", 1),
-        ("parallel", 0),
-        ("parallel", 1),
-    }
+def test_sweep_covers_collusion_and_adversaries():
+    assert {seed_f(s) for s in BYZANTINE_SEEDS} == {0, 1}
     assert len(BYZANTINE_SEEDS) >= 16
     assert (
         BYZANTINE_EQUIVOCATE_SEEDS
@@ -235,10 +227,6 @@ def test_sweep_covers_modes_collusion_and_adversaries():
     )
     # The sharded subset keeps the spread and adds the interior-node
     # attack on top of the broadcast/checkpoint adversaries.
-    assert {seed_mode(s) for s in SHARDED_SEEDS} == {
-        "sequential",
-        "parallel",
-    }
     assert {seed_f(s) for s in SHARDED_SEEDS} == {0, 1}
     assert set(SHARDED_SEEDS) & BYZANTINE_EQUIVOCATE_SEEDS
     assert set(SHARDED_SEEDS) & BYZANTINE_CORRUPT_SEEDS

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import StudyConfig, run_study
+from repro import CollusionPolicy, StudyConfig, run_study
 from repro.core.baseline import run_centralized_study
 from repro.core.pipeline import run_local_pipeline
 from repro.core.timing import ALL_LABELS
@@ -149,3 +149,20 @@ class TestErrorPaths:
         # raw genome size at toy scale because LR matrices are float64;
         # the bench demonstrates the large-scale ratio).
         assert study_result.network_bytes < central.network_bytes * 10
+
+
+class TestBatchedRounds:
+    def test_lr_is_one_round_with_collusion(self, small_cohort):
+        """f=1, G=5: C(5,4)+1 combinations plus the plain track used to
+        take seven ``lr`` rounds; the batched protocol takes one."""
+        config = StudyConfig(
+            snp_count=small_cohort.num_snps,
+            collusion=CollusionPolicy.static(1),
+            seed=5,
+            study_id="lr-rounds-5g-f1",
+        )
+        result = run_study(small_cohort, config, num_members=5)
+        assert result.ocall_rounds["lr"] == 1
+
+    def test_lr_is_one_round_without_collusion(self, study_result):
+        assert study_result.ocall_rounds["lr"] == 1

@@ -55,7 +55,6 @@ def _baroque(leader: str) -> PlanGenome:
             crash_points=((leader, 4), ("gdo-1", 6)),
             partition_windows=(("gdo-1", 2, 2),),
         ),
-        mode="parallel",
         f=1,
         shards=4,
         supervised=True,

@@ -76,7 +76,6 @@ def fault_configs(draw):
 def genomes(draw):
     return PlanGenome(
         faults=draw(fault_configs()),
-        mode=draw(st.sampled_from(["sequential", "parallel"])),
         f=draw(st.sampled_from([0, 1])),
         shards=draw(st.sampled_from([1, 2, 4])),
         supervised=draw(st.booleans()),
@@ -169,13 +168,12 @@ def test_malformed_documents_raise_config_error():
     with pytest.raises(ConfigError):
         FaultConfig.from_json_dict({"seed": 1})
     with pytest.raises(ConfigError):
-        PlanGenome.from_json_dict({"mode": "sequential"})
+        PlanGenome.from_json_dict({"f": 0})
     with pytest.raises(ConfigError):
         PlanGenome.from_json_dict(
             {
                 "faults": FaultConfig().to_json_dict(),
-                "mode": "warp",
-                "f": 0,
+                "f": 7,
                 "shards": 1,
                 "supervised": True,
                 "integrity": False,
@@ -186,7 +184,6 @@ def test_malformed_documents_raise_config_error():
 def test_genome_config_materialises_all_axes():
     genome = PlanGenome(
         faults=FaultConfig(enabled=True, seed=9, drop_rate=0.05),
-        mode="parallel",
         f=1,
         shards=4,
         supervised=True,
@@ -195,7 +192,6 @@ def test_genome_config_materialises_all_axes():
     config = genome_config(
         genome, snp_count=40, study_id="t", study_seed=5
     )
-    assert config.execution.mode == "parallel"
     assert max(config.collusion.f_values) == 1
     assert config.sharding.num_shards == 4
     assert config.resilience.enabled
@@ -214,7 +210,6 @@ def test_sort_key_orders_simpler_genomes_first():
     plain = PlanGenome()
     armed = PlanGenome(
         faults=FaultConfig(enabled=True, seed=1, drop_rate=0.2),
-        mode="parallel",
         shards=4,
     )
     assert plain.sort_key() < armed.sort_key()

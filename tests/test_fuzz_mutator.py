@@ -36,7 +36,7 @@ def _base_genomes():
         PlanGenome(),
         PlanGenome(
             faults=FaultConfig(enabled=True, seed=7, drop_rate=0.12),
-            mode="parallel",
+            f=1,
         ),
         PlanGenome(
             faults=FaultConfig(
@@ -117,7 +117,7 @@ def test_mutation_walk_reaches_every_operator_effect():
             saw_crash = True
         if faults.partition_windows:
             saw_partition = True
-        if genome.mode == "parallel" or genome.shards > 1:
+        if genome.f > 0 or genome.shards > 1:
             saw_axis = True
     assert saw_rate and saw_crash and saw_partition and saw_axis
 

@@ -19,7 +19,6 @@ import pytest
 from repro import StudyConfig, generate_cohort, partition_cohort, run_study
 from repro.config import (
     CollusionPolicy,
-    ExecutionConfig,
     FaultConfig,
     IntegrityConfig,
     ResilienceConfig,
@@ -147,18 +146,16 @@ class TestDegenerateCohorts:
             local.l_double_prime,
         )
 
-    @pytest.mark.parametrize("mode", ("sequential", "parallel"))
     @pytest.mark.parametrize("shards", (1, 2, 4))
     @pytest.mark.parametrize("f", (0, 1))
     @pytest.mark.parametrize("name", DEGENERATE)
-    def test_l_double_prime_bit_identical(self, name, f, shards, mode):
+    def test_l_double_prime_bit_identical(self, name, f, shards):
         cohort = _degenerate(name)
         config = StudyConfig(
             snp_count=cohort.num_snps,
             collusion=CollusionPolicy((f,)) if f else CollusionPolicy.none(),
             seed=3,
             study_id=f"ld-{name}",
-            execution=ExecutionConfig(mode=mode),
             sharding=ShardingConfig.over(min(shards, cohort.num_snps)),
         )
         result = run_study(cohort, config, MEMBERS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,3 +425,84 @@ class TestScopedNetwork:
         assert beta.links() == {} or ("a", "b") not in beta.links()
         stats = alpha.link_stats("a", "b")
         assert stats.messages == 1
+
+
+class TestNetworkThreadSafety:
+    """The service runs studies on worker threads over one router."""
+
+    def test_concurrent_senders_lose_no_messages(self):
+        network = SimulatedNetwork()
+        senders = [f"s{i}" for i in range(4)]
+        for node in senders + ["sink"]:
+            network.register(node)
+        per_sender = 200
+
+        def flood(sender: str) -> None:
+            for i in range(per_sender):
+                network.send(
+                    Envelope(
+                        sender=sender,
+                        receiver="sink",
+                        tag="stress",
+                        body=f"{sender}:{i}".encode(),
+                    )
+                )
+
+        with ThreadPoolExecutor(len(senders)) as pool:
+            list(pool.map(flood, senders))
+        assert network.pending("sink") == per_sender * len(senders)
+        total = network.total_stats()
+        assert total.messages == per_sender * len(senders)
+        # Per-link FIFO order survives concurrent interleaving.
+        seen = {sender: -1 for sender in senders}
+        while network.pending("sink"):
+            envelope = network.receive("sink", "stress")
+            sender, index = envelope.body.decode().split(":")
+            assert int(index) == seen[sender] + 1
+            seen[sender] = int(index)
+
+    def test_concurrent_disjoint_send_receive(self):
+        """Workers servicing different inboxes never interfere."""
+        network = SimulatedNetwork()
+        workers = [f"w{i}" for i in range(4)]
+        network.register("leader")
+        for node in workers:
+            network.register(node)
+        rounds = 100
+        errors: list = []
+
+        def serve(worker: str) -> None:
+            try:
+                for i in range(rounds):
+                    network.send(
+                        Envelope(
+                            sender="leader",
+                            receiver=worker,
+                            tag="req",
+                            body=b"ping",
+                        )
+                    )
+                    got = network.receive(worker, "req")
+                    assert got.sender == "leader"
+                    network.send(
+                        Envelope(
+                            sender=worker,
+                            receiver="leader",
+                            tag="req",
+                            body=f"{worker}:{i}".encode(),
+                        )
+                    )
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        with ThreadPoolExecutor(len(workers)) as pool:
+            list(pool.map(serve, workers))
+        assert not errors
+        assert network.pending("leader") == rounds * len(workers)
+        assert network.total_stats().messages == 2 * rounds * len(workers)
+
+    def test_duplicate_registration_rejected(self):
+        network = SimulatedNetwork()
+        network.register("a")
+        with pytest.raises(NetworkError):
+            network.register("a")

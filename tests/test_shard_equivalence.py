@@ -4,8 +4,7 @@ SNP-range sharding with tree aggregation must be a pure execution-plan
 change: for every collusion mode, the released SNP set (and every other
 decision field) is bit-identical across shard counts.  Integer allele
 counts and pair moments combine associatively, so any tree grouping
-sums to exactly the flat total — these tests enforce that end to end,
-the same way sequential-vs-parallel equivalence is enforced.
+sums to exactly the flat total — these tests enforce that end to end.
 """
 
 from __future__ import annotations
